@@ -185,6 +185,10 @@ type tcqEntry struct {
 	cmd   Command
 	h     CompletionHandler
 	token uint64
+	// tgt is the command's prepared access target: the firmware re-scores
+	// every tagged command at every pick, so the LBA mapping and geometry
+	// are resolved once, on entry to the queue.
+	tgt disk.Target
 }
 
 // CompletionHandler receives completions without a per-command closure: an
@@ -360,11 +364,10 @@ func (d *Drive) Idle() bool { return !d.busy && len(d.tcq) == 0 }
 // has perfect knowledge of its own mechanics.
 func (d *Drive) pickTCQ() tcqEntry {
 	best, bestT := 0, des.Time(0)
-	for i, e := range d.tcq {
-		t, err := d.dsk.AccessTime(d.arm, physOf(d.dsk, e.cmd), d.sim.Now())
-		if err != nil {
-			panic(err)
-		}
+	now := d.sim.Now()
+	for i := range d.tcq {
+		e := &d.tcq[i]
+		t, _ := d.dsk.AccessPrepared(d.arm, &e.tgt, e.cmd.Op == OpWrite, now)
 		if i == 0 || t < bestT {
 			best, bestT = i, t
 		}
@@ -374,12 +377,17 @@ func (d *Drive) pickTCQ() tcqEntry {
 	return e
 }
 
-func physOf(dsk *disk.Disk, cmd Command) disk.Request {
+// targetOf prepares the physical run a command starts at.
+func targetOf(dsk *disk.Disk, cmd Command) disk.Target {
 	p, err := dsk.Geom.LBAToPhys(cmd.LBA)
 	if err != nil {
 		panic(err)
 	}
-	return disk.Request{Start: p, Count: cmd.Count, Write: cmd.Op == OpWrite}
+	t, err := dsk.Prepare(disk.Request{Start: p, Count: cmd.Count})
+	if err != nil {
+		panic(err)
+	}
+	return t
 }
 
 // Submit starts a command. Without TCQ the drive must be idle — the host
@@ -402,7 +410,7 @@ func (d *Drive) SubmitHandled(cmd Command, h CompletionHandler, token uint64) {
 		if d.Free() == 0 {
 			panic(fmt.Sprintf("bus: Submit on busy drive %s with no free tags", d.Name))
 		}
-		d.tcq = append(d.tcq, tcqEntry{cmd: cmd, h: h, token: token})
+		d.tcq = append(d.tcq, tcqEntry{cmd: cmd, h: h, token: token, tgt: targetOf(d.dsk, cmd)})
 		return
 	}
 	d.start(cmd, h, token)

@@ -10,6 +10,15 @@ import (
 // AccessEstimator predicts the host-observed service time of a physical
 // request. Position-aware schedulers (SATF/RSATF) rank candidates with it,
 // and RLOOK/RSATF use it to choose among rotational replicas.
+//
+// A prediction has a part that depends only on where the data lies and a
+// part that depends on the arm and the clock. Prepare computes the first
+// once (a disk.Target); the *Prepared methods evaluate the second against
+// it and return exactly what Access and AccessRun return for the same
+// extents. A target is valid only for the geometry that prepared it, so a
+// holder keeps targets per drive. Callers that score a candidate once use
+// Access/AccessRun; callers that re-score queued candidates keep the
+// targets.
 type AccessEstimator interface {
 	// Access predicts the service time of req submitted at time now with
 	// the arm at st.
@@ -20,9 +29,25 @@ type AccessEstimator interface {
 	// revolutions at every join, which is exactly what makes a contiguous
 	// replica preferable for large transfers.
 	AccessRun(st disk.State, extents []disk.Extent, write bool, now des.Time) des.Time
+	// Prepare computes into t the target of one extent against the
+	// estimator's geometry. Like Access it panics on an extent the geometry
+	// rejects.
+	Prepare(t *disk.Target, ext disk.Extent)
+	// AccessPrepared is Access for a prepared extent.
+	AccessPrepared(st disk.State, t *disk.Target, write bool, now des.Time) des.Time
+	// AccessRunPrepared is AccessRun for prepared extents.
+	AccessRunPrepared(st disk.State, ts []disk.Target, write bool, now des.Time) des.Time
 	// RotationPeriod returns the (estimated) rotation period, used by
 	// schedulers for slack arithmetic and by models.
 	RotationPeriod() des.Time
+}
+
+// mustPrepare prepares ext against g. Scheduling should never construct
+// invalid extents; an error here is a layout bug, not a runtime condition.
+func mustPrepare(g *disk.Geometry, t *disk.Target, ext disk.Extent) {
+	if err := g.PrepareInto(t, disk.Request{Start: ext.Start, Count: ext.Count}); err != nil {
+		panic(err)
+	}
 }
 
 // Exact is the simulator-mode estimator: it asks the mechanical model
@@ -34,30 +59,48 @@ type Exact struct {
 	Overhead des.Time // fixed per-command pre+post overhead
 }
 
+// Prepare implements AccessEstimator.
+func (e *Exact) Prepare(t *disk.Target, ext disk.Extent) { mustPrepare(e.Dsk.Geom, t, ext) }
+
 // Access implements AccessEstimator.
 func (e *Exact) Access(st disk.State, req disk.Request, now des.Time) des.Time {
-	t, err := e.Dsk.AccessTime(st, req, now+e.Overhead/2)
-	if err != nil {
-		// Scheduling should never construct invalid requests; an error here
-		// is a layout bug, not a runtime condition.
-		panic(err)
-	}
-	return t + e.Overhead
+	var t disk.Target
+	e.Prepare(&t, disk.Extent{Start: req.Start, Count: req.Count})
+	return e.AccessPrepared(st, &t, req.Write, now)
+}
+
+// AccessPrepared implements AccessEstimator.
+func (e *Exact) AccessPrepared(st disk.State, t *disk.Target, write bool, now des.Time) des.Time {
+	total, _ := e.Dsk.AccessPrepared(st, t, write, now+e.Overhead/2)
+	return total + e.Overhead
 }
 
 // AccessRun implements AccessEstimator by chaining the mechanical model
 // across the extents.
 func (e *Exact) AccessRun(st disk.State, extents []disk.Extent, write bool, now des.Time) des.Time {
 	start := now
+	var t disk.Target
 	for _, ext := range extents {
-		tm, err := e.Dsk.Service(st, disk.Request{Start: ext.Start, Count: ext.Count, Write: write}, now+e.Overhead/2)
-		if err != nil {
-			panic(err)
-		}
-		now = now + e.Overhead + tm.Total()
-		st = tm.End
+		e.Prepare(&t, ext)
+		now, st = e.chain(st, &t, write, now)
 	}
 	return now - start
+}
+
+// AccessRunPrepared implements AccessEstimator.
+func (e *Exact) AccessRunPrepared(st disk.State, ts []disk.Target, write bool, now des.Time) des.Time {
+	start := now
+	for i := range ts {
+		now, st = e.chain(st, &ts[i], write, now)
+	}
+	return now - start
+}
+
+// chain issues one command of a run at time now and returns when it ends
+// and where it leaves the arm.
+func (e *Exact) chain(st disk.State, t *disk.Target, write bool, now des.Time) (des.Time, disk.State) {
+	total, end := e.Dsk.AccessPrepared(st, t, write, now+e.Overhead/2)
+	return now + e.Overhead + total, end
 }
 
 // RotationPeriod implements AccessEstimator.
@@ -78,51 +121,56 @@ type Tracked struct {
 	Slack *SlackController
 }
 
+// Prepare implements AccessEstimator.
+func (t *Tracked) Prepare(tg *disk.Target, ext disk.Extent) { mustPrepare(t.Geom, tg, ext) }
+
 // Access implements AccessEstimator.
 func (t *Tracked) Access(st disk.State, req disk.Request, now des.Time) des.Time {
+	var tg disk.Target
+	t.Prepare(&tg, disk.Extent{Start: req.Start, Count: req.Count})
+	return t.AccessPrepared(st, &tg, req.Write, now)
+}
+
+// AccessPrepared implements AccessEstimator. Only geometry is cached in the
+// target; the tracker's rotation estimate and the slack are read now.
+func (t *Tracked) AccessPrepared(st disk.State, tg *disk.Target, write bool, now des.Time) des.Time {
 	r := t.Trk.R()
-	move := t.Seek.Time(req.Start.Cyl-st.Cyl, req.Write)
-	if req.Start.Head != st.Head && t.HeadSwitch > move {
+	move := t.Seek.Time(int(tg.Cyl)-st.Cyl, write)
+	if int(tg.Head) != st.Head && t.HeadSwitch > move {
 		move = t.HeadSwitch
 	}
 	arrive := now + t.Pre + move
-	target := t.Geom.SectorAngle(req.Start)
-	wait := t.Trk.TimeToAngle(arrive, target)
+	wait := t.Trk.TimeToAngle(arrive, tg.Angle)
 	if t.Slack != nil {
-		margin := des.Time(float64(t.Slack.K()) * t.Geom.AngularWidth(req.Start.Cyl) * float64(r))
+		margin := des.Time(float64(t.Slack.K()) * (1 / float64(tg.SPT)) * float64(r))
 		if wait < margin {
 			wait += r
 		}
 	}
-	xfer := t.transferTime(req)
+	xfer := des.Time(tg.Frac * float64(r))
+	if tg.Rest > 0 {
+		xfer = t.restTransfer(tg, r, xfer)
+	}
 	return t.Pre + move + wait + xfer + t.Post
 }
 
-// transferTime estimates media transfer, charging head switches at track
-// boundaries. With correctly sized skews each boundary costs about the
-// skew angle.
-func (t *Tracked) transferTime(req disk.Request) des.Time {
-	r := t.Trk.R()
-	remaining := req.Count
-	cur := req.Start
-	var total des.Time
-	for remaining > 0 {
-		spt := t.Geom.SPTOf(cur.Cyl)
-		n := spt - cur.Sector
+// restTransfer adds to total, the first track's transfer, the estimated
+// media transfer of the sectors past it, charging head switches at track
+// boundaries. With correctly sized skews each boundary costs about the skew
+// angle.
+func (t *Tracked) restTransfer(tg *disk.Target, r, total des.Time) des.Time {
+	cyl, head := int(tg.Cyl), int(tg.Head)
+	z := t.Geom.ZoneOf(cyl)
+	for remaining := int(tg.Rest); remaining > 0; {
+		total += des.Time(float64(z.TrackSkew) / float64(z.SPT) * float64(r))
+		cyl, head = t.Geom.NextTrack(cyl, head)
+		z = t.Geom.ZoneOf(cyl)
+		n := z.SPT
 		if n > remaining {
 			n = remaining
 		}
-		total += des.Time(float64(n) / float64(spt) * float64(r))
+		total += des.Time(float64(n) / float64(z.SPT) * float64(r))
 		remaining -= n
-		if remaining > 0 {
-			z := t.Geom.Zones[t.Geom.ZoneIndexOf(cur.Cyl)]
-			total += des.Time(float64(z.TrackSkew) / float64(spt) * float64(r))
-			if cur.Head+1 < t.Geom.Heads {
-				cur = disk.Chs{Cyl: cur.Cyl, Head: cur.Head + 1}
-			} else {
-				cur = disk.Chs{Cyl: cur.Cyl + 1, Head: 0}
-			}
-		}
 	}
 	return total
 }
@@ -131,9 +179,21 @@ func (t *Tracked) transferTime(req disk.Request) des.Time {
 // extents with the arm state updated between them.
 func (t *Tracked) AccessRun(st disk.State, extents []disk.Extent, write bool, now des.Time) des.Time {
 	start := now
+	var tg disk.Target
 	for _, ext := range extents {
-		now += t.Access(st, disk.Request{Start: ext.Start, Count: ext.Count, Write: write}, now)
-		st = disk.State{Cyl: ext.Start.Cyl, Head: ext.Start.Head}
+		t.Prepare(&tg, ext)
+		now += t.AccessPrepared(st, &tg, write, now)
+		st = tg.End()
+	}
+	return now - start
+}
+
+// AccessRunPrepared implements AccessEstimator.
+func (t *Tracked) AccessRunPrepared(st disk.State, ts []disk.Target, write bool, now des.Time) des.Time {
+	start := now
+	for i := range ts {
+		now += t.AccessPrepared(st, &ts[i], write, now)
+		st = ts[i].End()
 	}
 	return now - start
 }

@@ -235,12 +235,12 @@ func TestExactEstimatorMatchesDisk(t *testing.T) {
 		st := disk.State{Cyl: rng.Intn(d.Geom.Cylinders)}
 		now := des.Time(rng.Float64() * 1e6)
 		got := e.Access(st, req, now)
-		want, err := d.AccessTime(st, req, now+150)
+		tm, err := d.Service(st, req, now+150)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(float64(got-(want+300))) > 1e-9 {
-			t.Fatalf("Exact.Access = %v, want %v", got, want+300)
+		if want := tm.Total() + 300; got != want {
+			t.Fatalf("Exact.Access = %v, want %v", got, want)
 		}
 	}
 }

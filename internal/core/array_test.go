@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/des"
+	"repro/internal/disk"
 	"repro/internal/layout"
 )
 
@@ -388,6 +389,51 @@ func TestPrototypeModeEndToEnd(t *testing.T) {
 	}
 	if meanAccess <= 0 {
 		t.Fatal("non-positive mean access")
+	}
+}
+
+// Prototype-mode drives spin at slightly different speeds, and a drive's
+// track and cylinder skews are sized from its own rotation period, so the
+// mirrors of a piece do not share one geometry: the same extent starts at a
+// different angle on each. Read routing must therefore score every mirror
+// against that mirror's own geometry; a target prepared on one drive and
+// evaluated on its mirror sends reads to the wrong copy.
+func TestBestAccessScoresEachMirrorOnItsOwnGeometry(t *testing.T) {
+	differ := 0
+	for seed := int64(1); seed <= 6; seed++ {
+		_, a := newArray(t, layout.Config{Ds: 1, Dr: 2, Dm: 2}, "rsatf", func(o *Options) {
+			o.Prototype = true
+			o.Seed = seed
+		})
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 200; i++ {
+			pieces, err := a.lay.Resolve(rng.Int63n(a.DataSectors()-8), 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := &pieces[0]
+			var angles []float64
+			for _, id := range p.Mirrors {
+				d := a.drives[id]
+				want := des.Time(math.Inf(1))
+				for _, rep := range p.Replicas {
+					e := rep[0]
+					if w := d.est.Access(d.bus.ArmState(), disk.Request{Start: e.Start, Count: e.Count}, a.sim.Now()); w < want {
+						want = w
+					}
+				}
+				if got := a.bestAccess(d, p, false); got != want {
+					t.Fatalf("seed %d drive %d piece at %d: bestAccess = %v, from-scratch estimate %v", seed, id, p.Off, got, want)
+				}
+				angles = append(angles, d.dsk.Geom.SectorAngle(p.Replicas[0][0].Start))
+			}
+			if angles[0] != angles[1] {
+				differ++
+			}
+		}
+	}
+	if differ == 0 {
+		t.Fatal("every mirror pair shared one geometry: the test compared nothing")
 	}
 }
 

@@ -110,6 +110,10 @@ type delayedCopy struct {
 	// ver is the content version the copy carries (0 when the integrity
 	// oracle is off).
 	ver uint64
+	// tgt is the prepared target of extents[0], filled by the first
+	// dispatchDelayed window scan that scores the copy (it is re-scored at
+	// every scan until it is chosen).
+	tgt disk.Target
 
 	free bool         // on the free list (see pool.go)
 	next *delayedCopy //
@@ -383,8 +387,10 @@ func (a *Array) dispatchDelayed(d *drive) {
 	bestT := des.Time(math.Inf(1))
 	for i := 0; i < window; i++ {
 		c := d.delayed[i]
-		e := c.extents[0]
-		t := d.est.Access(d.bus.ArmState(), disk.Request{Start: e.Start, Count: e.Count, Write: true}, a.sim.Now())
+		if !c.tgt.Prepared() {
+			d.est.Prepare(&c.tgt, c.extents[0])
+		}
+		t := d.est.AccessPrepared(d.bus.ArmState(), &c.tgt, true, a.sim.Now())
 		if t < bestT {
 			bestI, bestT = i, t
 		}

@@ -209,8 +209,10 @@ func (a *Array) enqueueRef(d *drive) {
 // dispatch removes the chosen request from the queue, claims its duplicate
 // group, and runs its extents on the drive.
 func (a *Array) dispatch(d *drive, choice sched.Choice) {
+	// The scheduler already located the request: delete by index, keeping
+	// queue order (ties break on it).
 	req := d.queue[choice.Index]
-	removeFromQueue(d, req)
+	d.queue = append(d.queue[:choice.Index], d.queue[choice.Index+1:]...)
 	tag := req.Tag.(*reqTag)
 	tag.offQueue = true
 	if g := tag.group; g != nil {
@@ -594,7 +596,9 @@ func (a *Array) mkReadReq(ur *userRequest, p *layout.Piece, c readCand, g *dupGr
 
 // bestAccess estimates the cheapest usable replica access for a piece on a
 // drive (tainted consults the per-replica usability that readMask would
-// materialize).
+// materialize). Each (drive, replica) pair is scored once per routing
+// decision and prototype-mode drives differ in geometry (their skews follow
+// their spindle speeds), so nothing is cached across the mirror candidates.
 func (a *Array) bestAccess(d *drive, p *layout.Piece, tainted bool) des.Time {
 	best := des.Time(0)
 	first := true

@@ -5,9 +5,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/calib"
 	"repro/internal/des"
 	"repro/internal/disk"
 	"repro/internal/layout"
+	"repro/internal/sched"
 )
 
 // poolStressRun drives a fault-heavy closed loop — transient errors,
@@ -129,5 +131,125 @@ func TestPooledSubmitSteadyStateAllocs(t *testing.T) {
 	perOp := avg / float64(total-start)
 	if perOp > 5 {
 		t.Fatalf("steady state allocates %.2f allocs/op, want <= 5", perOp)
+	}
+}
+
+// freshPickCheck wraps a drive's scheduler and re-decides every Pick on
+// never-scored copies of the queued requests (fresh sched.Replica values, so
+// no cached targets) with a second scheduler of the same stateless policy.
+// A pooled request that carried a previous life's prepared targets into a
+// new piece would score against the wrong cylinder and the two decisions —
+// index, replica, or predicted time — would part.
+type freshPickCheck struct {
+	t       *testing.T
+	inner   sched.Scheduler
+	scratch sched.Scheduler
+	picks   *int
+	multi   *int // picks of a replica with several extents or a multi-track extent
+}
+
+func (c freshPickCheck) Name() string { return c.inner.Name() }
+
+func (c freshPickCheck) Pick(now des.Time, arm disk.State, queue []*sched.Request, est calib.AccessEstimator) (sched.Choice, bool) {
+	got, ok := c.inner.Pick(now, arm, queue, est)
+	fresh := make([]*sched.Request, len(queue))
+	for i, r := range queue {
+		cp := *r
+		cp.Replicas = make([]sched.Replica, len(r.Replicas))
+		for j, rep := range r.Replicas {
+			cp.Replicas[j] = sched.Replica{Extents: rep.Extents}
+		}
+		fresh[i] = &cp
+	}
+	want, wantOK := c.scratch.Pick(now, arm, fresh, est)
+	if got != want || ok != wantOK {
+		c.t.Fatalf("at %v: pooled queue picks %+v, never-scored copies pick %+v", now, got, want)
+	}
+	if !ok {
+		return got, ok
+	}
+	// The reported prediction is a from-scratch estimate of the chosen
+	// replica's current extents.
+	req := queue[got.Index]
+	exts := req.Replicas[got.Replica].Extents
+	var scratch des.Time
+	if len(exts) == 1 {
+		scratch = est.Access(arm, disk.Request{Start: exts[0].Start, Count: exts[0].Count, Write: req.Write}, now)
+	} else {
+		scratch = est.AccessRun(arm, exts, req.Write, now)
+	}
+	if got.Predicted != scratch {
+		c.t.Fatalf("at %v: Choice.Predicted = %v, from-scratch estimate of %+v is %v", now, got.Predicted, exts, scratch)
+	}
+	*c.picks++
+	if len(exts) > 1 || exts[0].Start.Sector+exts[0].Count > 182 { // 182: the narrowest zone's track
+		*c.multi++
+	}
+	return got, ok
+}
+
+// TestPooledRequestsNeverCarryStaleTargets recycles pooled requests across
+// pieces scattered over the whole disk — small reads, multi-track reads,
+// foreground mirror duplicates, delayed-mode first writes and their promoted
+// copies — and checks every scheduling decision against one made without
+// any cached target. It runs plain, where a request released with prepared
+// targets keeps them on the free list until its next life overwrites them,
+// and poisoned, where release scrubs them.
+func TestPooledRequestsNeverCarryStaleTargets(t *testing.T) {
+	for _, poison := range []bool{false, true} {
+		t.Run(fmt.Sprintf("poison=%v", poison), func(t *testing.T) {
+			defer SetPoolPoisoning(SetPoolPoisoning(poison))
+			checkPooledTargets(t)
+		})
+	}
+}
+
+func checkPooledTargets(t *testing.T) {
+	sim, a := newArray(t, layout.Config{Ds: 1, Dr: 2, Dm: 2}, "rsatf", func(o *Options) {
+		o.DataSectors = 0 // the whole disk: pieces land on cylinders far apart
+		o.NVRAMEntries = 24
+	})
+	picks, multi := 0, 0
+	for _, d := range a.drives {
+		scratch, err := sched.New("rsatf")
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.sched = freshPickCheck{t: t, inner: d.sched, scratch: scratch, picks: &picks, multi: &multi}
+	}
+	rng := rand.New(rand.NewSource(5))
+	const total = 3000
+	issued, finished := 0, 0
+	var issue func()
+	onDone := func(Result) { finished++; issue() }
+	issue = func() {
+		if issued >= total {
+			return
+		}
+		issued++
+		op, count := Read, 8
+		if rng.Float64() < 0.35 {
+			op = Write
+		}
+		if rng.Float64() < 0.2 {
+			count = 200 + rng.Intn(600) // wraps tracks, fuses across them, spans chunks
+		}
+		if err := a.Submit(op, rng.Int63n(a.DataSectors()-int64(count)), count, false, onDone); err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+	}
+	for i := 0; i < 24; i++ {
+		issue()
+	}
+	for finished < total {
+		if !sim.Step() {
+			t.Fatalf("stalled at %d/%d", finished, total)
+		}
+	}
+	if !a.Drain(des.Hour) {
+		t.Fatal("array never drained")
+	}
+	if picks < total || multi < total/20 {
+		t.Fatalf("checked %d picks (%d of multi-extent or multi-track replicas); the workload did not exercise the cache", picks, multi)
 	}
 }

@@ -91,83 +91,84 @@ func (d *Disk) positioningTo(st State, cyl, head int, write bool) des.Time {
 	return move
 }
 
+// step is the one mechanical step every access is made of: from arm state
+// st at time now, position onto t's track, wait for its first sector to
+// come round, and transfer that track's share of the request. Service and
+// the prepared evaluation both run on it, which is what keeps a scheduler's
+// prediction bit-identical to the service the drive then performs.
+func (d *Disk) step(st State, t *Target, write bool, now des.Time) (pos, rot, xfer des.Time) {
+	pos = d.positioningTo(st, int(t.Cyl), int(t.Head), write)
+	rot = d.TimeToAngle(now+pos, t.Angle)
+	xfer = des.Time(t.Frac * float64(d.R))
+	return pos, rot, xfer
+}
+
+// Prepare validates req against the drive's geometry and computes its
+// Target (see Geometry.PrepareInto).
+func (d *Disk) Prepare(req Request) (Target, error) {
+	var t Target
+	err := d.Geom.PrepareInto(&t, req)
+	return t, err
+}
+
+// AccessPrepared returns the total service time (seek + rotate + transfer)
+// of a prepared request started at time start with arm state st, and the
+// arm state it leaves. It is the estimator position-aware schedulers use in
+// simulator mode, where the true mechanical parameters are known exactly,
+// and equals Service's Total and End to the bit.
+func (d *Disk) AccessPrepared(st State, t *Target, write bool, start des.Time) (des.Time, State) {
+	if t.Rest == 0 {
+		pos, rot, xfer := d.step(st, t, write, start)
+		return pos + rot + xfer, t.End()
+	}
+	var tm Timing
+	d.service(&tm, st, t, write, start)
+	return tm.Total(), tm.End
+}
+
+// service computes into tm the full timing of a prepared request started at
+// time start with arm state st.
+func (d *Disk) service(tm *Timing, st State, t *Target, write bool, start des.Time) {
+	pos, rot, xfer := d.step(st, t, write, start)
+	tm.Seek, tm.Rotate, tm.Transfer = pos, rot, xfer
+	now := start + pos + rot + xfer
+	cyl, head := int(t.Cyl), int(t.Head)
+	for remaining := int(t.Rest); remaining > 0; {
+		// Mid-transfer switches are part of the transfer cost: position
+		// from wherever the previous track left the arm.
+		prev := State{Cyl: cyl, Head: head}
+		cyl, head = d.Geom.NextTrack(cyl, head)
+		z := d.Geom.ZoneOf(cyl)
+		n := z.SPT
+		if n > remaining {
+			n = remaining
+		}
+		var next Target
+		d.Geom.trackTarget(&next, z, Chs{Cyl: cyl, Head: head}, n, 0)
+		pos, rot, xfer = d.step(prev, &next, write, now)
+		tm.Transfer += pos
+		tm.Transfer += rot
+		tm.Transfer += xfer
+		now += pos
+		now += rot
+		now += xfer
+		remaining -= n
+	}
+	tm.Done = now
+	tm.End = State{Cyl: cyl, Head: head}
+}
+
 // Service computes the full timing of a physical request started at time
 // start with arm state st. Multi-track transfers pay head switches and
 // single-cylinder seeks at boundaries; thanks to skew these usually cost
 // less than a full extra rotation.
-func (d *Disk) Service(st State, req Request, start des.Time) (Timing, error) {
-	if req.Count <= 0 {
-		return Timing{}, fmt.Errorf("disk: non-positive sector count %d", req.Count)
-	}
-	if err := d.Geom.validate(req.Start); err != nil {
+func (d *Disk) Service(st State, req Request, start des.Time) (tm Timing, err error) {
+	var t Target
+	if err = d.Geom.PrepareInto(&t, req); err != nil {
 		return Timing{}, err
 	}
-	var tm Timing
-	now := start
-	cur := req.Start
-	prev := st
-	remaining := req.Count
-	first := true
-	for remaining > 0 {
-		spt := d.Geom.SPTOf(cur.Cyl)
-		n := spt - cur.Sector
-		if n > remaining {
-			n = remaining
-		}
-		// Position arm and head from wherever the previous chunk (or the
-		// prior request) left them.
-		pos := d.positioningTo(prev, cur.Cyl, cur.Head, req.Write)
-		if first {
-			tm.Seek = pos
-		} else {
-			// Mid-transfer switches are part of the transfer cost.
-			tm.Transfer += pos
-		}
-		now += pos
-		// Rotate to the start of the chunk's first sector.
-		target := d.Geom.SectorAngle(cur)
-		rot := d.TimeToAngle(now, target)
-		if first {
-			tm.Rotate = rot
-		} else {
-			tm.Transfer += rot
-		}
-		now += rot
-		// Transfer n contiguous sectors.
-		xfer := des.Time(float64(n) / float64(spt) * float64(d.R))
-		tm.Transfer += xfer
-		now += xfer
-
-		remaining -= n
-		prev = State{Cyl: cur.Cyl, Head: cur.Head}
-		if remaining > 0 {
-			// Advance to the next track: next head, else next cylinder.
-			if cur.Head+1 < d.Geom.Heads {
-				cur = Chs{Cyl: cur.Cyl, Head: cur.Head + 1}
-			} else if cur.Cyl+1 < d.Geom.Cylinders {
-				cur = Chs{Cyl: cur.Cyl + 1, Head: 0}
-			} else {
-				return Timing{}, fmt.Errorf("disk: transfer runs off the end of the disk")
-			}
-		} else {
-			tm.End = prev
-		}
-		first = false
-	}
-	tm.Done = now
+	d.service(&tm, st, &t, req.Write, start)
 	return tm, nil
-}
-
-// AccessTime returns the total service time (seek + rotate + transfer) for
-// req from state st at time start. It is the estimator used by
-// position-aware schedulers in simulator mode, where the true mechanical
-// parameters are known exactly.
-func (d *Disk) AccessTime(st State, req Request, start des.Time) (des.Time, error) {
-	tm, err := d.Service(st, req, start)
-	if err != nil {
-		return 0, err
-	}
-	return tm.Total(), nil
 }
 
 // ServiceLBA is Service for a logical (LBA-addressed) request, as issued

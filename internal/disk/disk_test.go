@@ -161,7 +161,7 @@ func TestServiceFullTrackTakesOneRotationPlusPositioning(t *testing.T) {
 func TestSkewPreservesSequentialBandwidth(t *testing.T) {
 	d := testDisk(t)
 	c := 20
-	z := d.Geom.zoneOf(c)
+	z := d.Geom.ZoneOf(c)
 	spt := z.SPT
 	st := State{Cyl: c, Head: 0}
 	// Read two full tracks starting at (c, 0, 0).
@@ -259,28 +259,6 @@ func TestServiceLBASplitsAtDefects(t *testing.T) {
 	}
 	if tm.Total() < ref.Total() {
 		t.Fatalf("defect-split transfer %v cheaper than contiguous %v", tm.Total(), ref.Total())
-	}
-}
-
-func TestAccessTimeAgreesWithService(t *testing.T) {
-	d := testDisk(t)
-	rng := rand.New(rand.NewSource(3))
-	st := State{Cyl: 100}
-	for i := 0; i < 100; i++ {
-		c := rng.Intn(d.Geom.Cylinders)
-		req := Request{Start: Chs{c, rng.Intn(d.Geom.Heads), rng.Intn(d.Geom.SPTOf(c))}, Count: 1 + rng.Intn(8)}
-		at := des.Time(rng.Float64() * 1e6)
-		tot, err := d.AccessTime(st, req, at)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tm, err := d.Service(st, req, at)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tot != tm.Total() {
-			t.Fatalf("AccessTime %v != Service total %v", tot, tm.Total())
-		}
 	}
 }
 

@@ -57,6 +57,11 @@ type Geometry struct {
 	ReservedCyls int    // trailing cylinders excluded from the logical space
 	Zones        []Zone // ascending, contiguous, covering [0, Cylinders)
 
+	// cylZone maps every cylinder to the index of its zone: the mechanical
+	// model asks for a cylinder's zone on every access-time estimate, far
+	// too often for a search.
+	cylZone []uint16
+
 	defects       []int64 // sorted physical sector indexes that are unusable
 	totalPhys     int64   // physical sectors, including reserved cylinders
 	logicalPhys   int64   // physical sectors in the addressable cylinders
@@ -86,6 +91,10 @@ func NewGeometry(cylinders, heads, reservedCyls int, zoneSPT []int, defects []in
 	if per == 0 {
 		return nil, fmt.Errorf("disk: more zones (%d) than cylinders (%d)", len(zoneSPT), cylinders)
 	}
+	if len(zoneSPT) > math.MaxUint16+1 {
+		return nil, fmt.Errorf("disk: %d zones exceed the supported %d", len(zoneSPT), math.MaxUint16+1)
+	}
+	g.cylZone = make([]uint16, cylinders)
 	start := 0
 	var phys int64
 	for i, spt := range zoneSPT {
@@ -98,6 +107,9 @@ func NewGeometry(cylinders, heads, reservedCyls int, zoneSPT []int, defects []in
 		}
 		z := Zone{StartCyl: start, EndCyl: end, SPT: spt, startSector: phys}
 		g.Zones = append(g.Zones, z)
+		for c := start; c <= end; c++ {
+			g.cylZone[c] = uint16(i)
+		}
 		phys += int64(end-start+1) * int64(heads) * int64(spt)
 		start = end + 1
 	}
@@ -126,37 +138,15 @@ func NewGeometry(cylinders, heads, reservedCyls int, zoneSPT []int, defects []in
 	return g, nil
 }
 
-// zoneOf returns the zone containing cylinder c.
-func (g *Geometry) zoneOf(c int) *Zone {
-	// Zones have (almost) equal cylinder counts, so a direct guess plus a
-	// short walk beats binary search.
-	per := g.Cylinders / len(g.Zones)
-	i := c / per
-	if i >= len(g.Zones) {
-		i = len(g.Zones) - 1
-	}
-	for g.Zones[i].StartCyl > c {
-		i--
-	}
-	for g.Zones[i].EndCyl < c {
-		i++
-	}
-	return &g.Zones[i]
-}
+// ZoneOf returns the zone containing cylinder c, which must lie in
+// [0, Cylinders).
+func (g *Geometry) ZoneOf(c int) *Zone { return &g.Zones[g.cylZone[c]] }
 
 // SPTOf returns sectors-per-track at cylinder c.
-func (g *Geometry) SPTOf(c int) int { return g.zoneOf(c).SPT }
+func (g *Geometry) SPTOf(c int) int { return g.ZoneOf(c).SPT }
 
 // ZoneIndexOf returns the index of the zone containing cylinder c.
-func (g *Geometry) ZoneIndexOf(c int) int {
-	z := g.zoneOf(c)
-	for i := range g.Zones {
-		if &g.Zones[i] == z {
-			return i
-		}
-	}
-	return -1
-}
+func (g *Geometry) ZoneIndexOf(c int) int { return int(g.cylZone[c]) }
 
 // TotalSectors reports the number of logical (addressable) sectors.
 func (g *Geometry) TotalSectors() int64 { return g.logicalSizeLB }
@@ -174,7 +164,11 @@ func (g *Geometry) LogicalCylinders() int { return g.Cylinders - g.ReservedCyls 
 // physIndex converts a physical location to a global physical sector index
 // (cylinder-major, then head, then sector).
 func (g *Geometry) physIndex(p Chs) int64 {
-	z := g.zoneOf(p.Cyl)
+	return g.physIndexIn(g.ZoneOf(p.Cyl), p)
+}
+
+// physIndexIn is physIndex with p's zone already in hand.
+func (g *Geometry) physIndexIn(z *Zone, p Chs) int64 {
 	return z.startSector +
 		int64(p.Cyl-z.StartCyl)*int64(g.Heads)*int64(z.SPT) +
 		int64(p.Head)*int64(z.SPT) +
@@ -233,10 +227,11 @@ func (g *Geometry) LBAToPhys(lba int64) (Chs, error) {
 // PhysToLBA maps a physical location back to its logical block address. It
 // fails for defective or reserved sectors, which have no LBA.
 func (g *Geometry) PhysToLBA(p Chs) (int64, error) {
-	if err := g.validate(p); err != nil {
+	z, err := g.validate(p)
+	if err != nil {
 		return 0, err
 	}
-	idx := g.physIndex(p)
+	idx := g.physIndexIn(z, p)
 	if idx >= g.logicalPhys {
 		return 0, fmt.Errorf("disk: %v is in the reserved area", p)
 	}
@@ -246,26 +241,27 @@ func (g *Geometry) PhysToLBA(p Chs) (int64, error) {
 	return idx - g.defectsBefore(idx), nil
 }
 
-func (g *Geometry) validate(p Chs) error {
+// validate checks that p names a physical sector and returns its zone.
+func (g *Geometry) validate(p Chs) (*Zone, error) {
 	if p.Cyl < 0 || p.Cyl >= g.Cylinders {
-		return fmt.Errorf("disk: cylinder %d out of range [0,%d)", p.Cyl, g.Cylinders)
+		return nil, fmt.Errorf("disk: cylinder %d out of range [0,%d)", p.Cyl, g.Cylinders)
 	}
 	if p.Head < 0 || p.Head >= g.Heads {
-		return fmt.Errorf("disk: head %d out of range [0,%d)", p.Head, g.Heads)
+		return nil, fmt.Errorf("disk: head %d out of range [0,%d)", p.Head, g.Heads)
 	}
-	if spt := g.SPTOf(p.Cyl); p.Sector < 0 || p.Sector >= spt {
-		return fmt.Errorf("disk: sector %d out of range [0,%d) at cylinder %d", p.Sector, spt, p.Cyl)
+	z := g.ZoneOf(p.Cyl)
+	if p.Sector < 0 || p.Sector >= z.SPT {
+		return nil, fmt.Errorf("disk: sector %d out of range [0,%d) at cylinder %d", p.Sector, z.SPT, p.Cyl)
 	}
-	return nil
+	return z, nil
 }
 
 // skewOffset returns the rotational offset, in sectors, of logical sector 0
-// of track (c,h). Track skew accumulates per surface within a cylinder and
-// cylinder skew accumulates per cylinder, so that sequential transfers that
-// cross a track or cylinder boundary arrive just in time for the next
-// logical sector.
-func (g *Geometry) skewOffset(c, h int) int {
-	z := g.zoneOf(c)
+// of track (c,h) in zone z. Track skew accumulates per surface within a
+// cylinder and cylinder skew accumulates per cylinder, so that sequential
+// transfers that cross a track or cylinder boundary arrive just in time for
+// the next logical sector.
+func (g *Geometry) skewOffset(z *Zone, c, h int) int {
 	off := c*z.CylSkew + (c*g.Heads+h)*z.TrackSkew
 	return off % z.SPT
 }
@@ -273,15 +269,19 @@ func (g *Geometry) skewOffset(c, h int) int {
 // SectorAngle returns the angular position, in [0,1) fractions of a
 // revolution, of the *start* of logical sector s on track (c,h).
 func (g *Geometry) SectorAngle(p Chs) float64 {
-	z := g.zoneOf(p.Cyl)
-	pos := (p.Sector + g.skewOffset(p.Cyl, p.Head)) % z.SPT
+	return g.sectorAngleIn(g.ZoneOf(p.Cyl), p)
+}
+
+// sectorAngleIn is SectorAngle with p's zone already in hand.
+func (g *Geometry) sectorAngleIn(z *Zone, p Chs) float64 {
+	pos := (p.Sector + g.skewOffset(z, p.Cyl, p.Head)) % z.SPT
 	return float64(pos) / float64(z.SPT)
 }
 
 // SectorAtAngle returns the logical sector number on track (c,h) whose
 // start angle is the first at or after the given angle (in [0,1)).
 func (g *Geometry) SectorAtAngle(c, h int, angle float64) int {
-	z := g.zoneOf(c)
+	z := g.ZoneOf(c)
 	spt := z.SPT
 	// Physical slot index whose start is at or after angle. The epsilon
 	// absorbs float error so an angle computed by SectorAngle maps back to
@@ -291,7 +291,7 @@ func (g *Geometry) SectorAtAngle(c, h int, angle float64) int {
 	if slot < 0 {
 		slot += spt
 	}
-	s := (slot - g.skewOffset(c, h)) % spt
+	s := (slot - g.skewOffset(z, c, h)) % spt
 	if s < 0 {
 		s += spt
 	}

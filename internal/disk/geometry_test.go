@@ -195,7 +195,7 @@ func TestSkewAlignsSequentialTracks(t *testing.T) {
 	// Logical sector 0 of (c, h+1) should sit TrackSkew sectors after
 	// logical sector 0 of (c, h) in angle.
 	c := 42
-	z := g.zoneOf(c)
+	z := g.ZoneOf(c)
 	for h := 0; h+1 < g.Heads; h++ {
 		a0 := g.SectorAngle(Chs{c, h, 0})
 		a1 := g.SectorAngle(Chs{c, h + 1, 0})

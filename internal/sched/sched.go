@@ -17,9 +17,42 @@ import (
 
 // Replica is one complete copy of a request's data on a drive: usually a
 // single extent, occasionally split in two where the layout wraps around a
-// track.
+// track, and more for a large transfer that fragments over several tracks.
+//
+// A queued replica is re-scored at every dispatch until it is picked, so
+// the first evaluation caches its extents' prepared targets. A target is
+// valid only for the geometry that prepared it and only while the extent
+// stays as it was: a Request belongs to one drive's queue (a mirror
+// duplicate is a separate Request) and its Extents must not change once it
+// has been offered to a scheduler. Assigning a fresh Replica{Extents: ...}
+// drops the cache.
 type Replica struct {
 	Extents []disk.Extent
+
+	// tgt holds the prepared targets of the (at most len(tgt)) extents;
+	// unprepared while tgt[0] is the zero Target.
+	tgt [2]disk.Target
+}
+
+// access predicts the replica's service time from arm state arm at time
+// now. A replica of more extents than the cache holds (a large fragmented
+// transfer) is prepared afresh on every call.
+func (r *Replica) access(now des.Time, arm disk.State, write bool, est calib.AccessEstimator) des.Time {
+	n := len(r.Extents)
+	if n > len(r.tgt) {
+		return est.AccessRun(arm, r.Extents, write, now)
+	}
+	if !r.tgt[0].Prepared() {
+		for i, e := range r.Extents {
+			est.Prepare(&r.tgt[i], e)
+		}
+	}
+	if n == 1 {
+		return est.AccessPrepared(arm, &r.tgt[0], write, now)
+	}
+	// Fragmented replicas pay per-extent overheads; rank on the full run
+	// so a contiguous copy wins for large transfers.
+	return est.AccessRunPrepared(arm, r.tgt[:n], write, now)
 }
 
 // first returns the leading extent, which determines positioning cost.
@@ -209,16 +242,7 @@ func bestAllowedReplica(now des.Time, arm disk.State, req *Request, est calib.Ac
 		if !req.allowed(i) {
 			continue
 		}
-		rep := &req.Replicas[i]
-		var t des.Time
-		if len(rep.Extents) == 1 {
-			e := rep.Extents[0]
-			t = est.Access(arm, disk.Request{Start: e.Start, Count: e.Count, Write: req.Write}, now)
-		} else {
-			// Fragmented replicas pay per-extent overheads; rank on the
-			// full run so a contiguous copy wins for large transfers.
-			t = est.AccessRun(arm, rep.Extents, req.Write, now)
-		}
+		t := req.Replicas[i].access(now, arm, req.Write, est)
 		if t < bestT {
 			bestIdx, bestT = i, t
 		}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/calib"
@@ -340,5 +341,67 @@ func TestAgedNames(t *testing.T) {
 	}
 	if !IsRotationAware("rasatf") {
 		t.Error("rasatf should be rotation aware")
+	}
+}
+
+// A queued replica caches its prepared targets on first evaluation. Every
+// later Pick, from whatever arm state and time, must still decide exactly
+// what a scheduler looking at never-scored copies of the same requests
+// decides — for one-extent replicas, the layout's two-extent wrapped
+// replicas, a fused multi-track extent, and a hand-built three-extent
+// replica that does not fit the cache.
+func TestReplicaCacheMatchesFreshEvaluation(t *testing.T) {
+	d, e := est(t)
+	g := d.Geom
+	rng := rand.New(rand.NewSource(11))
+	var queue []*Request
+	for i := 0; i < 40; i++ {
+		cyl := rng.Intn(g.LogicalCylinders())
+		spt := g.SPTOf(cyl)
+		var reps []Replica
+		for j := 0; j < 3; j++ {
+			head := j * (g.Heads / 3)
+			var exts []disk.Extent
+			switch i % 4 {
+			case 0:
+				exts = []disk.Extent{{Start: disk.Chs{Cyl: cyl, Head: head, Sector: rng.Intn(spt - 8)}, Count: 8}}
+			case 1:
+				exts = []disk.Extent{{Start: disk.Chs{Cyl: cyl, Head: head, Sector: spt - 5}, Count: 5}, {Start: disk.Chs{Cyl: cyl, Head: head}, Count: 11}}
+			case 2:
+				exts = []disk.Extent{{Start: disk.Chs{Cyl: cyl, Head: head, Sector: rng.Intn(spt)}, Count: spt + 40}}
+			case 3:
+				exts = []disk.Extent{{Start: disk.Chs{Cyl: cyl, Head: head, Sector: 3}, Count: 4}, {Start: disk.Chs{Cyl: cyl, Head: head + 1}, Count: 9}, {Start: disk.Chs{Cyl: cyl, Head: head, Sector: 30}, Count: 2}}
+			}
+			reps = append(reps, Replica{Extents: exts})
+		}
+		queue = append(queue, &Request{ID: uint64(i), Write: i%5 == 0, Arrive: des.Time(i), Replicas: reps})
+	}
+	fresh := func() []*Request {
+		out := make([]*Request, len(queue))
+		for i, r := range queue {
+			c := *r
+			c.Replicas = make([]Replica, len(r.Replicas))
+			for j, rep := range r.Replicas {
+				c.Replicas[j] = Replica{Extents: rep.Extents}
+			}
+			out[i] = &c
+		}
+		return out
+	}
+	for _, policy := range []string{"rfcfs", "sstf", "rlook", "satf", "rsatf", "rasatf"} {
+		cached, err := New(policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch, _ := New(policy)
+		for round := 0; round < 50; round++ {
+			arm := disk.State{Cyl: rng.Intn(g.Cylinders), Head: rng.Intn(g.Heads)}
+			now := des.Time(100 + 977*round)
+			got, ok := cached.Pick(now, arm, queue, e)
+			want, wantOK := scratch.Pick(now, arm, fresh(), e)
+			if got != want || ok != wantOK {
+				t.Fatalf("%s round %d: cached queue picks %+v, never-scored copies pick %+v", policy, round, got, want)
+			}
+		}
 	}
 }

@@ -16,8 +16,9 @@
 # end-to-end Figure 6 benchmark must stay under FIG6_ALLOC_CAP allocs/op
 # (default 260000, one fifth of the pre-pooling baseline) — a regression
 # here means a request, extent-run, or completion object stopped being
-# recycled. Set BASELINE=<file> to also fail if DESPushPop ns/op regresses
-# more than 25% against a previous run's stream.
+# recycled. Set BASELINE=<file> to also fail if DESPushPop or
+# SchedPickSATF/rsatf/q128 ns/op regresses more than 25% against a previous
+# run's stream.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -38,15 +39,19 @@ if [ "${1:-}" = "guard" ]; then
         }
         END { exit bad }'
     if [ -n "${BASELINE:-}" ]; then
-        now=$(echo "$out" | tr '\t' ' ' | awk '/BenchmarkDESPushPop/ { for (i=1;i<=NF;i++) if ($(i+1)=="ns/op") print $i }' | head -1)
-        old=$(tr '\t' ' ' <"$BASELINE" | grep -o 'BenchmarkDESPushPop[^"]*ns/op' | head -1 |
-            awk '{ for (i=1;i<=NF;i++) if ($(i+1)=="ns/op") print $i }')
-        if [ -n "$now" ] && [ -n "$old" ]; then
-            awk -v n="$now" -v o="$old" 'BEGIN {
-                if (n > o * 1.25) { printf "FAIL: DESPushPop %.1f ns/op vs baseline %.1f (+%.0f%%)\n", n, o, (n/o-1)*100; exit 1 }
-                printf "DESPushPop %.1f ns/op vs baseline %.1f ns/op: ok\n", n, o
-            }'
-        fi
+        # Each pattern names one benchmark line; the same 25% rule for all.
+        for bench in 'BenchmarkDESPushPop' 'BenchmarkSchedPickSATF/rsatf/q128'; do
+            now=$(echo "$out" | tr '\t' ' ' | grep "^$bench" | head -1 |
+                awk '{ for (i=1;i<=NF;i++) if ($(i+1)=="ns/op") print $i }')
+            old=$(tr '\t' ' ' <"$BASELINE" | grep -o "$bench[^\"]*ns/op" | head -1 |
+                awk '{ for (i=1;i<=NF;i++) if ($(i+1)=="ns/op") print $i }')
+            if [ -n "$now" ] && [ -n "$old" ]; then
+                awk -v b="${bench#Benchmark}" -v n="$now" -v o="$old" 'BEGIN {
+                    if (n > o * 1.25) { printf "FAIL: %s %.1f ns/op vs baseline %.1f (+%.0f%%)\n", b, n, o, (n/o-1)*100; exit 1 }
+                    printf "%s %.1f ns/op vs baseline %.1f ns/op: ok\n", b, n, o
+                }'
+            fi
+        done
     fi
     fig6=$(go test -run '^$' -bench 'BenchmarkFigure6CelloBase$' -benchtime 1x -benchmem .)
     echo "$fig6"

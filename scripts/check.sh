@@ -42,6 +42,14 @@ go test -race -count=2 ./internal/slo
 go test -race -count=2 -run 'TestSLOBrownoutE2E' ./internal/service
 # Fuzz smoke: short bounded runs of the NVRAM snapshot decoder and the
 # crash/recovery-scan fuzzers (the seed corpora alone regression-test
-# the known crashers).
+# the known crashers), then of the prepared access-time evaluation
+# against the long-hand mechanical model (bit-identical or it fails) at
+# the disk and at the estimator level.
 go test -run '^$' -fuzz '^FuzzAdoptNVRAM$' -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz '^FuzzRecoveryScan$' -fuzztime 5s ./internal/core
+go test -run '^$' -fuzz '^FuzzPreparedAccess$' -fuzztime 5s ./internal/disk
+go test -run '^$' -fuzz '^FuzzPreparedEstimate$' -fuzztime 5s ./internal/calib
+# The benchmark is its own module (bench/go.mod), invisible to ./... above:
+# run its smoke test so a change that breaks what bench/ builds against
+# fails here and not at the next measurement.
+(cd bench && go test ./...)

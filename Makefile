@@ -13,6 +13,7 @@ test:
 check:
 	scripts/check.sh
 
-# Capture the benchmark suite as BENCH_<date>.json for cross-PR tracking.
+# The repository's benchmark (BENCHMARK.json): all five workloads, one JSON
+# result line each. bench/README.md has the protocol for comparing commits.
 bench:
-	scripts/bench.sh
+	bash bench/run.sh

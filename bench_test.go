@@ -193,15 +193,13 @@ func BenchmarkFigure6Parallel(b *testing.B) {
 }
 
 // BenchmarkBigArrayEventsPerSec measures the raw event throughput of
-// multi-brick clusters (bricks of 4x2x2 plus a front-end client) under
-// each driver: the legacy lockstep co-simulator (a global min-clock scan
-// over every sim per event) and the sharded epoch engine at one, two, and
-// four workers. Two scales run: the 128-drive default, and a 1024-drive
-// cluster where the lockstep driver's O(sims) per-event scan dominates —
-// the scaling wall the epoch engine exists to remove. Within a scale
-// every sub-benchmark executes the identical simulation — digests are
-// asserted equal by TestShardedMatchesSequential — so events/sec is
-// directly comparable across drivers and worker counts.
+// multi-brick clusters (bricks of 4x2x2 plus a front-end client) on the
+// sharded epoch engine at one, two, and four workers, at two scales: the
+// 128-drive default and a 1024-drive cluster. Within a scale every
+// sub-benchmark executes the identical simulation — digests are asserted
+// equal, and equal to a lockstep reference driver's, by
+// TestShardedMatchesSequential — so events/sec is directly comparable
+// across worker counts.
 func BenchmarkBigArrayEventsPerSec(b *testing.B) {
 	cfg := benchCfg()
 	big := experiments.DefaultBigArraySpec(cfg)
@@ -209,29 +207,25 @@ func BenchmarkBigArrayEventsPerSec(b *testing.B) {
 	huge.Bricks = 64
 	huge.IOs = cfg.IometerIOs * 8
 	huge.Outstanding = 16 * huge.Bricks
-	run := func(spec experiments.BigArraySpec, f func(experiments.BigArraySpec) (*experiments.BigArrayResult, error), workers int) func(*testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				s := spec
-				s.Workers = workers
-				r, err := f(s)
-				if err != nil {
-					b.Fatal(err)
-				}
-				events += r.Events
-			}
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-		}
-	}
 	for _, scale := range []struct {
 		name string
 		spec experiments.BigArraySpec
 	}{{"drives128", big}, {"drives1024", huge}} {
-		b.Run(scale.name+"/lockstep", run(scale.spec, experiments.RunBigArrayLockstep, 0))
 		for _, w := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/epoch-w%d", scale.name, w), run(scale.spec, experiments.RunBigArray, w))
+			spec := scale.spec
+			spec.Workers = w
+			b.Run(fmt.Sprintf("%s/epoch-w%d", scale.name, w), func(b *testing.B) {
+				b.ReportAllocs()
+				var events uint64
+				for i := 0; i < b.N; i++ {
+					r, err := experiments.RunBigArray(spec)
+					if err != nil {
+						b.Fatal(err)
+					}
+					events += r.Events
+				}
+				b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
+			})
 		}
 	}
 }

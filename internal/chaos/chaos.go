@@ -3,11 +3,12 @@
 // time-sorted list of composite events — drive failures, fail-slow onsets,
 // whole-brick power failures with recovery, scrub passes, client load
 // bursts — produced as a pure function of a seed and the scenario shape.
-// The package knows nothing about arrays: Arm schedules a brick's slice of
-// the timeline onto that brick's simulator and hands each event to an
-// apply callback, so the same scenario drives a single array, a lockstep
+// Generation and arming know nothing about arrays: Arm schedules a brick's
+// slice of the timeline onto that brick's simulator and hands each event to
+// an apply callback, so the same scenario drives a single array, a lockstep
 // co-simulation, or a des.Sharded epoch engine and yields byte-identical
-// timelines under every driver.
+// timelines under every driver. Apply is the one mapping of an event onto
+// a core.Array, for callbacks to call.
 package chaos
 
 import (

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/core"
@@ -12,21 +11,9 @@ import (
 
 // The big-array experiment scales the simulator past one brick: a front-end
 // client stripes a closed-loop workload over many independent MimdRAID
-// bricks (each its own array, drives, and buses) connected by an
-// interconnect with a fixed link latency. Each brick is one shard of a
-// des.Sharded engine; the link latency is the conservative lookahead — no
-// request or completion can cross between client and brick faster than the
-// link carries it, which is exactly the bound the epoch protocol needs.
-//
-// The same world also runs under a naive lockstep driver (globally pick the
-// sim with the earliest event, step it, repeat) — the way a pre-sharding
-// implementation co-simulates several sims. The digest of a run is
-// driver- and worker-count-independent, and the events/sec benchmark uses
-// the lockstep driver as the legacy baseline.
-
-// bigLinkLat is the interconnect latency between the client and a brick —
-// and therefore the sharded engine's lookahead window.
-const bigLinkLat = 150 * des.Microsecond
+// bricks (each its own array, drives, and buses) on the shared multi-brick
+// harness (harness.go). The digest of a run is worker-count-independent; a
+// lockstep reference driver in the tests holds the epoch engine to it.
 
 // BigArraySpec sizes a multi-brick run.
 type BigArraySpec struct {
@@ -39,8 +26,7 @@ type BigArraySpec struct {
 	Sectors     int
 	ReadFrac    float64
 	Seed        int64
-	// Workers is the epoch worker count (0 = des.ShardWorkers()); ignored
-	// by the lockstep driver.
+	// Workers is the epoch worker count (0 = des.ShardWorkers()).
 	Workers int
 	// Batch primes each brick's share of the initial window through one
 	// SubmitBatch instead of one Submit per request.
@@ -64,34 +50,34 @@ type BigArrayResult struct {
 	Digest string
 }
 
-// bigCluster wires the client and bricks onto a set of sims. The client's
-// mutable state lives on sims[0] and is only touched by that shard's
-// events; each array is only touched by its own shard's events — the
-// isolation the epoch protocol requires.
+// bigCluster is the client plus bricks of one run. Client state lives on
+// sims[0] and is only touched by that shard's events; each array is only
+// touched by its own shard's events — the isolation the epoch protocol
+// requires.
 type bigCluster struct {
+	clientLoop
 	spec   BigArraySpec
 	sims   []*des.Sim // sims[0] = client, sims[1+b] = brick b
 	arrays []*core.Array
-	send   func(from, to int, at des.Time, fn func())
+	send   sendFn
 
 	rng      *rand.Rand
 	vol      int64
-	issued   int
-	finished int
-	latNs    int64
-	last     des.Time
 	perBrick []int
 }
 
-// buildBigCluster constructs the arrays and the priming event. The sims and
-// the send function come from the driver (epoch or lockstep).
-func buildBigCluster(spec BigArraySpec, sims []*des.Sim, send func(int, int, des.Time, func())) (*bigCluster, error) {
+// buildBigCluster constructs the arrays and the priming event on the sims
+// and send function of a driver (the epoch engine, or the tests' lockstep
+// reference).
+func buildBigCluster(spec BigArraySpec, sims []*des.Sim, send sendFn) (*bigCluster, error) {
 	c := &bigCluster{
-		spec: spec, sims: sims, send: send,
+		clientLoop: clientLoop{sim: sims[0], ios: spec.IOs, outstanding: spec.Outstanding},
+		spec:       spec, sims: sims, send: send,
 		rng:      rand.New(rand.NewSource(spec.Seed)),
 		arrays:   make([]*core.Array, spec.Bricks),
 		perBrick: make([]int, spec.Bricks),
 	}
+	c.attempt = c.sendDraw
 	for b := range c.arrays {
 		a, err := core.New(sims[1+b], core.Options{
 			Config: spec.Cfg, Policy: policyFor(spec.Cfg), Seed: spec.Seed + int64(b),
@@ -102,96 +88,59 @@ func buildBigCluster(spec BigArraySpec, sims []*des.Sim, send func(int, int, des
 		c.arrays[b] = a
 	}
 	c.vol = c.arrays[0].DataSectors() - int64(spec.Sectors)
-	sims[0].At(0, c.prime)
+	if spec.Batch {
+		sims[0].At(0, c.primeBatch)
+	} else {
+		sims[0].At(0, c.prime)
+	}
 	return c, nil
 }
 
-// draw picks the next request (brick, offset, op) from the client RNG.
-func (c *bigCluster) draw() (int, int64, core.Op) {
-	b := c.rng.Intn(c.spec.Bricks)
-	off := c.rng.Int63n(c.vol)
-	op := core.Read
-	if c.rng.Float64() >= c.spec.ReadFrac {
-		op = core.Write
-	}
-	return b, off, op
-}
-
-// submit routes one request to brick b over the link; the completion comes
-// back over the link and re-enters the closed loop.
-func (c *bigCluster) submit(b int, off int64, op core.Op, submitAt des.Time) {
-	a := c.arrays[b]
-	sim := c.sims[1+b]
-	if err := a.Submit(op, off, c.spec.Sectors, false, func(core.Result) {
-		c.send(1+b, 0, sim.Now()+bigLinkLat, func() { c.complete(b, submitAt) })
-	}); err != nil {
-		panic(err)
+// done is brick b's completion callback: the completion travels back over
+// the link and re-enters the closed loop.
+func (c *bigCluster) done(b int, submitAt des.Time) func(core.Result) {
+	return func(core.Result) {
+		c.send(1+b, 0, c.sims[1+b].Now()+bigLinkLat, func() {
+			c.complete(submitAt, false)
+			c.perBrick[b]++
+		})
 	}
 }
 
-// prime fills the closed-loop window. It runs as the client shard's first
-// event so the cross-shard sends originate inside the epoch protocol.
-func (c *bigCluster) prime() {
-	window := c.spec.Outstanding
-	if window > c.spec.IOs {
-		window = c.spec.IOs
-	}
-	now := c.sims[0].Now()
-	if c.spec.Batch {
-		// Group the window by brick and deliver each group as one message
-		// carrying one SubmitBatch: the brick validates, resolves, and
-		// queues its whole share before its schedulers run once.
-		batches := make([][]core.BatchOp, c.spec.Bricks)
-		for i := 0; i < window; i++ {
-			b, off, op := c.draw()
-			submitAt := now
-			batches[b] = append(batches[b], core.BatchOp{
-				Op: op, Off: off, Count: c.spec.Sectors,
-				Done: func(core.Result) {
-					c.send(1+b, 0, c.sims[1+b].Now()+bigLinkLat, func() { c.complete(b, submitAt) })
-				},
-			})
+// sendDraw draws one request and routes it to its brick over the link.
+func (c *bigCluster) sendDraw(_ int, submitAt des.Time) {
+	b, off, op := drawBrickOp(c.rng, c.spec.Bricks, c.vol, c.spec.ReadFrac)
+	c.send(0, 1+b, submitAt+bigLinkLat, func() {
+		if err := c.arrays[b].Submit(op, off, c.spec.Sectors, false, c.done(b, submitAt)); err != nil {
+			panic(err)
 		}
-		c.issued = window
-		for b, ops := range batches {
-			if len(ops) == 0 {
-				continue
+	})
+}
+
+// primeBatch fills the window grouped by brick, each group delivered as
+// one message carrying one SubmitBatch: the brick validates, resolves, and
+// queues its whole share before its schedulers run once.
+func (c *bigCluster) primeBatch() {
+	now := c.sims[0].Now()
+	batches := make([][]core.BatchOp, c.spec.Bricks)
+	for c.issued < min(c.outstanding, c.ios) {
+		c.issued++
+		b, off, op := drawBrickOp(c.rng, c.spec.Bricks, c.vol, c.spec.ReadFrac)
+		batches[b] = append(batches[b], core.BatchOp{
+			Op: op, Off: off, Count: c.spec.Sectors, Done: c.done(b, now),
+		})
+	}
+	for b, ops := range batches {
+		if len(ops) == 0 {
+			continue
+		}
+		b, ops := b, ops
+		c.send(0, 1+b, now+bigLinkLat, func() {
+			if _, err := c.arrays[b].SubmitBatch(ops); err != nil {
+				panic(err)
 			}
-			b, ops := b, ops
-			c.send(0, 1+b, now+bigLinkLat, func() {
-				if _, err := c.arrays[b].SubmitBatch(ops); err != nil {
-					panic(err)
-				}
-			})
-		}
-		return
+		})
 	}
-	for i := 0; i < window; i++ {
-		c.issue()
-	}
-}
-
-// issue sends one request over the link (closed-loop reissue path).
-func (c *bigCluster) issue() {
-	if c.issued >= c.spec.IOs {
-		return
-	}
-	c.issued++
-	b, off, op := c.draw()
-	submitAt := c.sims[0].Now()
-	c.send(0, 1+b, submitAt+bigLinkLat, func() { c.submit(b, off, op, submitAt) })
-}
-
-// complete records one finished request on the client shard and reissues.
-func (c *bigCluster) complete(b int, submitAt des.Time) {
-	now := c.sims[0].Now()
-	c.latNs += int64(math.Round(float64(now-submitAt) * 1000))
-	if now > c.last {
-		c.last = now
-	}
-	c.finished++
-	c.perBrick[b]++
-	c.issue()
 }
 
 // result assembles the run summary from the client-side counters.
@@ -215,63 +164,14 @@ func (c *bigCluster) result(events uint64) *BigArrayResult {
 
 // RunBigArray executes the cluster on the sharded epoch engine.
 func RunBigArray(spec BigArraySpec) (*BigArrayResult, error) {
-	sh := des.NewSharded(spec.Bricks+1, bigLinkLat)
-	if spec.Workers > 0 {
-		if err := sh.SetWorkers(spec.Workers); err != nil {
-			return nil, err
-		}
-	}
-	sims := make([]*des.Sim, spec.Bricks+1)
-	for i := range sims {
-		sims[i] = sh.Shard(i)
-	}
-	c, err := buildBigCluster(spec, sims, sh.Send)
+	c, events, err := runSharded(spec.Bricks, spec.Workers, func(sims []*des.Sim, send sendFn) (*bigCluster, error) {
+		return buildBigCluster(spec, sims, send)
+	})
 	if err != nil {
 		return nil, err
 	}
-	sh.Run()
-	if c.finished != c.spec.IOs {
-		return nil, fmt.Errorf("experiments: big array drained at %d/%d completions", c.finished, c.spec.IOs)
-	}
-	return c.result(sh.Processed()), nil
-}
-
-// RunBigArrayLockstep executes the same cluster under the naive global
-// min-clock driver: every event requires a scan over all sims to find the
-// earliest, and cross-sim events are injected directly. This is the legacy
-// way to co-simulate independent sims, and the baseline the events/sec
-// benchmark compares the epoch engine against.
-func RunBigArrayLockstep(spec BigArraySpec) (*BigArrayResult, error) {
-	sims := make([]*des.Sim, spec.Bricks+1)
-	for i := range sims {
-		sims[i] = des.New()
-	}
-	send := func(from, to int, at des.Time, fn func()) {
-		sims[to].At(at, fn)
-	}
-	c, err := buildBigCluster(spec, sims, send)
-	if err != nil {
+	if err := c.drained("big array"); err != nil {
 		return nil, err
-	}
-	for {
-		best := -1
-		var bt des.Time
-		for i, s := range sims {
-			if at, ok := s.NextAt(); ok && (best < 0 || at < bt) {
-				best, bt = i, at
-			}
-		}
-		if best < 0 {
-			break
-		}
-		sims[best].Step()
-	}
-	if c.finished != c.spec.IOs {
-		return nil, fmt.Errorf("experiments: big array drained at %d/%d completions", c.finished, c.spec.IOs)
-	}
-	var events uint64
-	for _, s := range sims {
-		events += s.Processed
 	}
 	return c.result(events), nil
 }
@@ -299,22 +199,18 @@ func BigArray(c Config) (*Figure, error) {
 		Name: "bigarray", Title: "128-drive multi-brick cluster (sharded event loop)",
 		XLabel: "epoch workers", YLabel: "IOPS",
 	}
-	var iops Series
-	iops.Label = "cluster-iops"
-	var first *BigArrayResult
-	for _, w := range []int{1, 2, 4} {
+	iops := Series{Label: "cluster-iops"}
+	first, err := sameAtWorkers("big array", func(w int) (*BigArrayResult, error) {
 		spec := DefaultBigArraySpec(c)
 		spec.Workers = w
 		r, err := RunBigArray(spec)
-		if err != nil {
-			return nil, err
+		if err == nil {
+			iops.Add(float64(w), r.IOPS)
 		}
-		if first == nil {
-			first = r
-		} else if r.Digest != first.Digest {
-			return nil, fmt.Errorf("experiments: worker count changed the simulation: %q vs %q", r.Digest, first.Digest)
-		}
-		iops.Add(float64(w), r.IOPS)
+		return r, err
+	}, func(r *BigArrayResult) string { return r.Digest })
+	if err != nil {
+		return nil, err
 	}
 	fig.Series = append(fig.Series, iops)
 	fig.Metric("drives", float64(first.Drives))

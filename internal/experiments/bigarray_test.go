@@ -4,8 +4,58 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/des"
 	"repro/internal/layout"
 )
+
+// runLockstep is the reference driver the epoch engine is held to: the
+// naive way to co-simulate independent sims, scanning all of them for the
+// globally earliest event, stepping that one, and injecting cross-sim
+// events directly. It takes the same build callback as runSharded and
+// returns the same world and event count.
+func runLockstep[C any](bricks int, build buildFn[C]) (C, uint64, error) {
+	sims := make([]*des.Sim, bricks+1)
+	for i := range sims {
+		sims[i] = des.New()
+	}
+	send := func(from, to int, at des.Time, fn func()) { sims[to].At(at, fn) }
+	c, err := build(sims, send)
+	if err != nil {
+		return c, 0, err
+	}
+	for {
+		best := -1
+		var bt des.Time
+		for i, s := range sims {
+			if at, ok := s.NextAt(); ok && (best < 0 || at < bt) {
+				best, bt = i, at
+			}
+		}
+		if best < 0 {
+			break
+		}
+		sims[best].Step()
+	}
+	var events uint64
+	for _, s := range sims {
+		events += s.Processed
+	}
+	return c, events, nil
+}
+
+// runBigArrayLockstep executes the big-array cluster under runLockstep.
+func runBigArrayLockstep(spec BigArraySpec) (*BigArrayResult, error) {
+	c, events, err := runLockstep(spec.Bricks, func(sims []*des.Sim, send sendFn) (*bigCluster, error) {
+		return buildBigCluster(spec, sims, send)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := c.drained("big array"); err != nil {
+		return nil, err
+	}
+	return c.result(events), nil
+}
 
 func testBigSpec() BigArraySpec {
 	return BigArraySpec{
@@ -28,7 +78,7 @@ func TestShardedMatchesSequential(t *testing.T) {
 	for _, batch := range []bool{false, true} {
 		spec := testBigSpec()
 		spec.Batch = batch
-		base, err := RunBigArrayLockstep(spec)
+		base, err := runBigArrayLockstep(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +106,7 @@ func TestShardedMatchesSequential(t *testing.T) {
 func TestBigArrayBatchPrimesSameLoad(t *testing.T) {
 	spec := testBigSpec()
 	spec.Batch = true
-	r, err := RunBigArrayLockstep(spec)
+	r, err := runBigArrayLockstep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

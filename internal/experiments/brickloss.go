@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/chaos"
 	"repro/internal/cluster"
@@ -41,7 +40,6 @@ type brickLossSpec struct {
 	sectors     int
 	readFrac    float64
 	seed        int64
-	workers     int
 	sc          chaos.Scenario
 	window      des.Time
 }
@@ -51,25 +49,19 @@ type brickLossSpec struct {
 // divergence-log transition is an ordinary shard-0 event — exactly the
 // isolation the epoch protocol needs for worker-count invariance.
 type brickLossRun struct {
+	clientLoop
 	spec brickLossSpec
-	sims []*des.Sim
 	arr  []*core.Array
 	cl   *cluster.Cluster
 
 	rng        *splitRng
 	vol        int64
-	issued     int
-	finished   int
 	ok         int
 	failed     int
 	rejected   int
 	readErrs   int // failed or rejected reads: the client-visible outage
 	writeErrs  int
-	shrink     int
-	latNs      int64
-	last       des.Time
 	sloOK      int
-	wins       [][]int64
 	outageFrom des.Time
 	outageTo   des.Time
 	outageErrs int // client-visible errors inside the outage window
@@ -90,12 +82,14 @@ func (r *splitRng) next() uint64 {
 
 func (r *splitRng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
 
-func buildBrickLoss(spec brickLossSpec, sims []*des.Sim, send func(int, int, des.Time, func())) (*brickLossRun, error) {
+func buildBrickLoss(spec brickLossSpec, sims []*des.Sim, send sendFn) (*brickLossRun, error) {
 	c := &brickLossRun{
-		spec: spec, sims: sims,
-		rng: &splitRng{s: uint64(spec.seed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d},
-		arr: make([]*core.Array, spec.bricks),
+		clientLoop: clientLoop{sim: sims[0], ios: spec.ios, outstanding: spec.outstanding, window: spec.window},
+		spec:       spec,
+		rng:        &splitRng{s: uint64(spec.seed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d},
+		arr:        make([]*core.Array, spec.bricks),
 	}
+	c.attempt = func(_ int, submitAt des.Time) { c.submitDraw(submitAt) }
 	vols := make([]core.Volume, spec.bricks)
 	for b := range c.arr {
 		a, err := core.New(sims[1+b], core.Options{
@@ -108,8 +102,10 @@ func buildBrickLoss(spec brickLossSpec, sims []*des.Sim, send func(int, int, des
 		}
 		c.arr[b] = a
 		vols[b] = a
-		b := b
-		chaos.Arm(sims[1+b], spec.sc, b, func(e chaos.Event) { c.applyBrick(b, e) })
+		// The router is never told: its breaker discovers the outage from
+		// failing traffic and its probes rediscover the recovery — the
+		// whole point of the experiment.
+		chaos.Arm(sims[1+b], spec.sc, b, func(e chaos.Event) { chaos.Apply(a, e) })
 	}
 	cl, err := cluster.NewSharded(sims, send, bigLinkLat, vols, cluster.Options{
 		Replicas: spec.replicas, ExtentSectors: 1024, Seed: spec.seed,
@@ -125,76 +121,38 @@ func buildBrickLoss(spec brickLossSpec, sims []*des.Sim, send func(int, int, des
 			c.outageFrom, c.outageTo = e.At, e.At+e.Duration
 		}
 	}
-	chaos.Arm(sims[0], spec.sc, chaos.ClientBrick, c.applyClient)
+	chaos.Arm(sims[0], spec.sc, chaos.ClientBrick, c.burst)
 	sims[0].At(0, c.prime)
 	return c, nil
 }
 
-// applyBrick lands one scenario event on brick b's shard. The router is
-// never told: its breaker discovers the outage from failing traffic and
-// its probes rediscover the recovery — the whole point of the experiment.
-func (c *brickLossRun) applyBrick(b int, e chaos.Event) {
-	a := c.arr[b]
-	switch e.Kind {
-	case chaos.BrickCrash:
-		if err := a.Crash(); err != nil {
-			panic(fmt.Sprintf("brick-loss: brick %d crash: %v", b, err))
-		}
-	case chaos.BrickRecover:
-		if err := a.Recover(); err != nil {
-			panic(fmt.Sprintf("brick-loss: brick %d recover: %v", b, err))
-		}
-	}
-}
-
-// applyClient widens the closed loop for the burst, then narrows back.
-func (c *brickLossRun) applyClient(e chaos.Event) {
-	if e.Kind != chaos.LoadBurst {
-		return
-	}
-	extra := int(e.Factor)
-	for i := 0; i < extra; i++ {
-		c.issue()
-	}
-	c.sims[0].At(e.At+e.Duration, func() { c.shrink += extra })
-}
-
-func (c *brickLossRun) prime() {
-	window := c.spec.outstanding
-	if window > c.spec.ios {
-		window = c.spec.ios
-	}
-	for i := 0; i < window; i++ {
-		c.issue()
-	}
-}
-
-func (c *brickLossRun) issue() {
-	if c.issued >= c.spec.ios {
-		return
-	}
-	c.issued++
-	c.attempt(c.sims[0].Now())
-}
-
-// attempt draws (op, offset) and submits through the cluster router on
+// submitDraw draws (op, offset) and submits through the cluster router on
 // this shard. A synchronous rejection means the router knows every
 // replica of the range is down (the R=1 outage signature): count it as a
 // client-visible error and retry the slot after a backoff with a fresh
 // draw.
-func (c *brickLossRun) attempt(submitAt des.Time) {
+func (c *brickLossRun) submitDraw(submitAt des.Time) {
 	off := int64(c.rng.float() * float64(c.vol))
 	op := core.Read
 	if c.rng.float() >= c.spec.readFrac {
 		op = core.Write
 	}
 	err := c.cl.Submit(op, off, c.spec.sectors, false, func(r coreResult) {
-		c.complete(submitAt, r.Failed, op)
+		lat := c.complete(submitAt, r.Failed)
+		if r.Failed {
+			c.failed++
+			c.noteError(op)
+			return
+		}
+		c.ok++
+		if lat <= brickLossSLO {
+			c.sloOK++
+		}
 	})
 	if err != nil {
 		c.rejected++
 		c.noteError(op)
-		c.sims[0].After(chaosRetry, func() { c.attempt(submitAt) })
+		c.sim.After(chaosRetry, func() { c.submitDraw(submitAt) })
 	}
 }
 
@@ -204,40 +162,10 @@ func (c *brickLossRun) noteError(op core.Op) {
 	} else {
 		c.writeErrs++
 	}
-	now := c.sims[0].Now()
+	now := c.sim.Now()
 	if now >= c.outageFrom && now <= c.outageTo+chaosRetry {
 		c.outageErrs++
 	}
-}
-
-func (c *brickLossRun) complete(submitAt des.Time, failed bool, op core.Op) {
-	now := c.sims[0].Now()
-	if now > c.last {
-		c.last = now
-	}
-	c.finished++
-	if failed {
-		c.failed++
-		c.noteError(op)
-	} else {
-		c.ok++
-		lat := now - submitAt
-		ns := int64(math.Round(float64(lat) * 1000))
-		c.latNs += ns
-		if lat <= brickLossSLO {
-			c.sloOK++
-		}
-		w := int(now / c.spec.window)
-		for len(c.wins) <= w {
-			c.wins = append(c.wins, nil)
-		}
-		c.wins[w] = append(c.wins[w], ns)
-	}
-	if c.shrink > 0 {
-		c.shrink--
-		return
-	}
-	c.issue()
 }
 
 // brickLossRes is one leg's summary.
@@ -261,11 +189,7 @@ func (c *brickLossRun) result(events uint64) *brickLossRes {
 		window: c.spec.window, ok: c.ok, failed: c.failed, rejected: c.rejected,
 		readErrs: c.readErrs, writeErrs: c.writeErrs, outageErrs: c.outageErrs,
 		sloOK: c.sloOK, ctr: c.cl.Counters(), pending: c.cl.DivergencePending(),
-		events: events,
-	}
-	r.p99 = make([]int64, len(c.wins))
-	for i, w := range c.wins {
-		r.p99[i] = p99ns(w)
+		events: events, p99: c.p99(),
 	}
 	rec := ""
 	for b, a := range c.arr {
@@ -282,29 +206,20 @@ func (c *brickLossRun) result(events uint64) *brickLossRes {
 }
 
 // runBrickLoss executes one leg on the sharded epoch engine.
-func runBrickLoss(spec brickLossSpec) (*brickLossRes, error) {
-	sh := des.NewSharded(spec.bricks+1, bigLinkLat)
-	if spec.workers > 0 {
-		if err := sh.SetWorkers(spec.workers); err != nil {
-			return nil, err
-		}
-	}
-	sims := make([]*des.Sim, spec.bricks+1)
-	for i := range sims {
-		sims[i] = sh.Shard(i)
-	}
-	c, err := buildBrickLoss(spec, sims, sh.Send)
+func runBrickLoss(spec brickLossSpec, workers int) (*brickLossRes, error) {
+	c, events, err := runSharded(spec.bricks, workers, func(sims []*des.Sim, send sendFn) (*brickLossRun, error) {
+		return buildBrickLoss(spec, sims, send)
+	})
 	if err != nil {
 		return nil, err
 	}
-	sh.Run()
 	if c.finished+c.rejected == 0 || c.issued != c.spec.ios {
 		return nil, fmt.Errorf("experiments: brick-loss leg stalled at %d/%d issued", c.issued, c.spec.ios)
 	}
-	if c.finished != c.spec.ios {
-		return nil, fmt.Errorf("experiments: brick-loss leg drained at %d/%d completions", c.finished, c.spec.ios)
+	if err := c.drained("brick-loss leg"); err != nil {
+		return nil, err
 	}
-	res := c.result(sh.Processed())
+	res := c.result(events)
 	// The divergence log must have settled: every entry ever created was
 	// either backfilled or written off, nothing lingers.
 	if res.pending != 0 {
@@ -322,15 +237,12 @@ func defaultBrickLossSpec(c Config, replicas int) (brickLossSpec, error) {
 	bricks := 3
 	cfg := layout.Config{Ds: 2, Dr: 2, Dm: 2}
 	horizon := des.Time(c.IometerIOs) * 150 * des.Microsecond
-	sc, err := chaos.Generate(c.Seed, chaos.Options{
+	sc, err := genScenario(c.Seed, chaos.Options{
 		Bricks: bricks, DrivesPerBrick: cfg.Disks(),
 		Start: 5 * des.Millisecond, Horizon: horizon,
 		BrickCrashes: 1, LoadBursts: 1,
 	})
 	if err != nil {
-		return brickLossSpec{}, err
-	}
-	if err := sc.Validate(bricks, cfg.Disks()); err != nil {
 		return brickLossSpec{}, err
 	}
 	return brickLossSpec{
@@ -349,21 +261,12 @@ func BrickLoss(c Config) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		var first *brickLossRes
-		for _, w := range []int{1, 2, 4} {
-			s := spec
-			s.workers = w
-			res, err := runBrickLoss(s)
-			if err != nil {
-				return nil, fmt.Errorf("R=%d workers=%d: %w", r, w, err)
-			}
-			if first == nil {
-				first = res
-			} else if res.digest != first.digest {
-				return nil, fmt.Errorf("experiments: worker count changed the R=%d brick-loss run:\n%q\nvs\n%q", r, res.digest, first.digest)
-			}
+		results[i], err = sameAtWorkers(fmt.Sprintf("R=%d brick-loss", r), func(w int) (*brickLossRes, error) {
+			return runBrickLoss(spec, w)
+		}, func(res *brickLossRes) string { return res.digest })
+		if err != nil {
+			return nil, err
 		}
-		results[i] = first
 	}
 	r1, r2 := results[0], results[1]
 
@@ -382,12 +285,7 @@ func BrickLoss(c Config) (*Figure, error) {
 		XLabel: "window end (ms of simulated time)", YLabel: "p99 response time (ms)",
 	}
 	for i, res := range results {
-		var s Series
-		s.Label = fmt.Sprintf("p99/R=%d", legs[i])
-		for w, ns := range res.p99 {
-			s.Add(float64(res.window)*float64(w+1)/1000, float64(ns)/1e6)
-		}
-		fig.Series = append(fig.Series, s)
+		fig.Series = append(fig.Series, p99Series(fmt.Sprintf("p99/R=%d", legs[i]), res.window, res.p99))
 	}
 	for i, res := range results {
 		p := fmt.Sprintf("r%d/", legs[i])

@@ -2,14 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/des"
-	"repro/internal/disk"
 	"repro/internal/layout"
 	"repro/internal/runner"
 )
@@ -45,7 +42,6 @@ type chaosSpec struct {
 	sectors     int
 	readFrac    float64
 	seed        int64
-	workers     int
 	durability  core.NVRAMDurability
 	sc          chaos.Scenario
 	window      des.Time
@@ -55,38 +51,35 @@ type chaosSpec struct {
 // shard 0; each array and its skipped-event counter are touched only by
 // that brick's shard — the isolation the epoch protocol requires.
 type chaosCluster struct {
+	clientLoop
 	spec chaosSpec
 	sims []*des.Sim // sims[0] = client, sims[1+b] = brick b
 	arr  []*core.Array
-	send func(from, to int, at des.Time, fn func())
+	send sendFn
 
 	rng      *rand.Rand
 	vol      int64
-	issued   int
-	finished int
 	ok       int
 	failed   int
 	rejected int
-	shrink   int
-	latNs    int64
-	last     des.Time
 	perBrick []int
 	sloOK    int
-	wins     [][]int64 // per-window successful-completion latencies (ns)
 	// skipped[b] counts scenario events brick b ignored because its state
 	// made them inapplicable (e.g. a drive event landing inside an
 	// outage); written only by shard 1+b.
 	skipped []int
 }
 
-func buildChaosCluster(spec chaosSpec, sims []*des.Sim, send func(int, int, des.Time, func())) (*chaosCluster, error) {
+func buildChaosCluster(spec chaosSpec, sims []*des.Sim, send sendFn) (*chaosCluster, error) {
 	c := &chaosCluster{
-		spec: spec, sims: sims, send: send,
+		clientLoop: clientLoop{sim: sims[0], ios: spec.ios, outstanding: spec.outstanding, window: spec.window},
+		spec:       spec, sims: sims, send: send,
 		rng:      rand.New(rand.NewSource(spec.seed)),
 		arr:      make([]*core.Array, spec.bricks),
 		perBrick: make([]int, spec.bricks),
 		skipped:  make([]int, spec.bricks),
 	}
+	c.attempt = func(_ int, submitAt des.Time) { c.sendDraw(submitAt) }
 	for b := range c.arr {
 		a, err := core.New(sims[1+b], core.Options{
 			Config: spec.cfg, Policy: policyFor(spec.cfg), Seed: spec.seed + int64(b),
@@ -97,100 +90,30 @@ func buildChaosCluster(spec chaosSpec, sims []*des.Sim, send func(int, int, des.
 		}
 		c.arr[b] = a
 		b := b
-		chaos.Arm(sims[1+b], spec.sc, b, func(e chaos.Event) { c.applyBrick(b, e) })
+		chaos.Arm(sims[1+b], spec.sc, b, func(e chaos.Event) {
+			if !chaos.Apply(a, e) {
+				c.skipped[b]++
+			}
+		})
 	}
-	chaos.Arm(sims[0], spec.sc, chaos.ClientBrick, c.applyClient)
+	chaos.Arm(sims[0], spec.sc, chaos.ClientBrick, c.burst)
 	c.vol = c.arr[0].DataSectors() - int64(spec.sectors)
 	sims[0].At(0, c.prime)
 	return c, nil
 }
 
-// applyBrick lands one scenario event on brick b, from that brick's shard.
-// Drive and scrub events that the brick's current state rejects (an outage
-// in progress, a drive already gone) are counted and dropped — the
-// generator keeps the timeline legal in time, not in target. Crash and
-// recover events must always apply; an error there is a scenario bug.
-func (c *chaosCluster) applyBrick(b int, e chaos.Event) {
-	a := c.arr[b]
-	switch e.Kind {
-	case chaos.DriveFail:
-		if a.Crashed() || a.FailDrive(e.Drive) != nil {
-			c.skipped[b]++
-		}
-	case chaos.SlowDrive:
-		if a.SetDriveSlow(e.Drive, disk.SlowProfile{Factor: e.Factor}) != nil {
-			c.skipped[b]++
-		}
-	case chaos.ScrubPass:
-		if a.StartScrub(core.ScrubOptions{MBps: e.Factor, Passes: 1}) != nil {
-			c.skipped[b]++
-		}
-	case chaos.BrickCrash:
-		if err := a.Crash(); err != nil {
-			panic(fmt.Sprintf("chaos: brick %d crash: %v", b, err))
-		}
-	case chaos.BrickRecover:
-		if err := a.Recover(); err != nil {
-			panic(fmt.Sprintf("chaos: brick %d recover: %v", b, err))
-		}
-	}
-}
-
-// applyClient widens the closed loop by Factor extra requests for the
-// burst's duration, then absorbs that many completions to narrow back.
-func (c *chaosCluster) applyClient(e chaos.Event) {
-	if e.Kind != chaos.LoadBurst {
-		return
-	}
-	extra := int(e.Factor)
-	for i := 0; i < extra; i++ {
-		c.issue()
-	}
-	c.sims[0].At(e.At+e.Duration, func() { c.shrink += extra })
-}
-
-func (c *chaosCluster) draw() (int, int64, core.Op) {
-	b := c.rng.Intn(c.spec.bricks)
-	off := c.rng.Int63n(c.vol)
-	op := core.Read
-	if c.rng.Float64() >= c.spec.readFrac {
-		op = core.Write
-	}
-	return b, off, op
-}
-
-func (c *chaosCluster) prime() {
-	window := c.spec.outstanding
-	if window > c.spec.ios {
-		window = c.spec.ios
-	}
-	for i := 0; i < window; i++ {
-		c.issue()
-	}
-}
-
-// issue claims the next logical request and sends its first attempt.
-func (c *chaosCluster) issue() {
-	if c.issued >= c.spec.ios {
-		return
-	}
-	c.issued++
-	c.attempt(c.sims[0].Now())
-}
-
-// attempt draws a fresh (brick, offset, op) and sends it over the link;
+// sendDraw draws a fresh (brick, offset, op) and sends it over the link;
 // submitAt survives retries so measured latency includes outage stalls.
-func (c *chaosCluster) attempt(submitAt des.Time) {
-	b, off, op := c.draw()
+func (c *chaosCluster) sendDraw(submitAt des.Time) {
+	b, off, op := drawBrickOp(c.rng, c.spec.bricks, c.vol, c.spec.readFrac)
 	c.send(0, 1+b, c.sims[0].Now()+bigLinkLat, func() { c.submit(b, off, op, submitAt) })
 }
 
 func (c *chaosCluster) submit(b int, off int64, op core.Op, submitAt des.Time) {
-	a := c.arr[b]
 	sim := c.sims[1+b]
-	err := a.Submit(op, off, c.spec.sectors, false, func(r coreResult) {
+	err := c.arr[b].Submit(op, off, c.spec.sectors, false, func(r coreResult) {
 		failed := r.Failed
-		c.send(1+b, 0, sim.Now()+bigLinkLat, func() { c.complete(b, submitAt, failed) })
+		c.send(1+b, 0, sim.Now()+bigLinkLat, func() { c.done(b, submitAt, failed) })
 	})
 	if err != nil {
 		// The brick is powered off: bounce the attempt back and let the
@@ -198,57 +121,23 @@ func (c *chaosCluster) submit(b int, off int64, op core.Op, submitAt des.Time) {
 		// outage does not pin the slot to the dark brick).
 		c.send(1+b, 0, sim.Now()+bigLinkLat, func() {
 			c.rejected++
-			c.sims[0].After(chaosRetry, func() { c.attempt(submitAt) })
+			c.sims[0].After(chaosRetry, func() { c.sendDraw(submitAt) })
 		})
 	}
 }
 
-// complete retires one logical request. Failures (in-flight at a crash)
-// consume the slot too: the workload observes the failure, it does not
-// paper over it.
-func (c *chaosCluster) complete(b int, submitAt des.Time, failed bool) {
-	now := c.sims[0].Now()
-	if now > c.last {
-		c.last = now
-	}
-	c.finished++
+// done retires one logical request on the client shard.
+func (c *chaosCluster) done(b int, submitAt des.Time, failed bool) {
+	lat := c.complete(submitAt, failed)
 	c.perBrick[b]++
 	if failed {
 		c.failed++
-	} else {
-		c.ok++
-		lat := now - submitAt
-		ns := int64(math.Round(float64(lat) * 1000))
-		c.latNs += ns
-		if lat <= chaosSLO {
-			c.sloOK++
-		}
-		w := int(now / c.spec.window)
-		for len(c.wins) <= w {
-			c.wins = append(c.wins, nil)
-		}
-		c.wins[w] = append(c.wins[w], ns)
-	}
-	if c.shrink > 0 {
-		c.shrink--
 		return
 	}
-	c.issue()
-}
-
-// p99 of one window's latencies in integer nanoseconds (0 for an empty
-// window).
-func p99ns(lat []int64) int64 {
-	if len(lat) == 0 {
-		return 0
+	c.ok++
+	if lat <= chaosSLO {
+		c.sloOK++
 	}
-	s := append([]int64(nil), lat...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := (99*len(s) + 99) / 100
-	if idx > len(s) {
-		idx = len(s)
-	}
-	return s[idx-1]
 }
 
 // chaosRunRes summarizes one cluster run; digest equality across worker
@@ -274,11 +163,7 @@ type chaosRunRes struct {
 func (c *chaosCluster) result(events uint64) *chaosRunRes {
 	r := &chaosRunRes{
 		window: c.spec.window, ok: c.ok, failed: c.failed, rejected: c.rejected,
-		sloOK: c.sloOK, events: events,
-	}
-	r.p99 = make([]int64, len(c.wins))
-	for i, w := range c.wins {
-		r.p99[i] = p99ns(w)
+		sloOK: c.sloOK, events: events, p99: c.p99(),
 	}
 	rec := ""
 	for b, a := range c.arr {
@@ -303,26 +188,17 @@ func (c *chaosCluster) result(events uint64) *chaosRunRes {
 }
 
 // runChaosCluster executes one cluster run on the sharded epoch engine.
-func runChaosCluster(spec chaosSpec) (*chaosRunRes, error) {
-	sh := des.NewSharded(spec.bricks+1, bigLinkLat)
-	if spec.workers > 0 {
-		if err := sh.SetWorkers(spec.workers); err != nil {
-			return nil, err
-		}
-	}
-	sims := make([]*des.Sim, spec.bricks+1)
-	for i := range sims {
-		sims[i] = sh.Shard(i)
-	}
-	c, err := buildChaosCluster(spec, sims, sh.Send)
+func runChaosCluster(spec chaosSpec, workers int) (*chaosRunRes, error) {
+	c, events, err := runSharded(spec.bricks, workers, func(sims []*des.Sim, send sendFn) (*chaosCluster, error) {
+		return buildChaosCluster(spec, sims, send)
+	})
 	if err != nil {
 		return nil, err
 	}
-	sh.Run()
-	if c.finished != c.spec.ios {
-		return nil, fmt.Errorf("experiments: chaos cluster drained at %d/%d completions", c.finished, c.spec.ios)
+	if err := c.drained("chaos cluster"); err != nil {
+		return nil, err
 	}
-	return c.result(sh.Processed()), nil
+	return c.result(events), nil
 }
 
 // defaultChaosSpec sizes the cluster run: four 8-drive bricks under a
@@ -333,15 +209,12 @@ func defaultChaosSpec(c Config) (chaosSpec, error) {
 	bricks := 4
 	cfg := layout.Config{Ds: 2, Dr: 2, Dm: 2}
 	horizon := des.Time(c.IometerIOs) * 150 * des.Microsecond
-	sc, err := chaos.Generate(c.Seed, chaos.Options{
+	sc, err := genScenario(c.Seed, chaos.Options{
 		Bricks: bricks, DrivesPerBrick: cfg.Disks(),
 		Start: 5 * des.Millisecond, Horizon: horizon,
 		DriveFails: 1, SlowDrives: 1, BrickCrashes: 2, ScrubPasses: 1, LoadBursts: 1,
 	})
 	if err != nil {
-		return chaosSpec{}, err
-	}
-	if err := sc.Validate(bricks, cfg.Disks()); err != nil {
 		return chaosSpec{}, err
 	}
 	return chaosSpec{
@@ -442,31 +315,18 @@ func Chaos(c Config) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	var first *chaosRunRes
-	for _, w := range []int{1, 2, 4} {
-		s := spec
-		s.workers = w
-		r, err := runChaosCluster(s)
-		if err != nil {
-			return nil, err
-		}
-		if first == nil {
-			first = r
-		} else if r.digest != first.digest {
-			return nil, fmt.Errorf("experiments: worker count changed the chaos run:\n%q\nvs\n%q", r.digest, first.digest)
-		}
+	first, err := sameAtWorkers("chaos cluster", func(w int) (*chaosRunRes, error) {
+		return runChaosCluster(spec, w)
+	}, func(r *chaosRunRes) string { return r.digest })
+	if err != nil {
+		return nil, err
 	}
 
 	fig := &Figure{
 		Name: "chaos", Title: "Chaos scenario on a 32-drive cluster (crashes, fail-slow, scrub, burst)",
 		XLabel: "window end (ms of simulated time)", YLabel: "p99 response time (ms)",
 	}
-	var p99 Series
-	p99.Label = "p99/chaos-cluster"
-	for i, ns := range first.p99 {
-		p99.Add(float64(first.window)*float64(i+1)/1000, float64(ns)/1e6)
-	}
-	fig.Series = append(fig.Series, p99)
+	fig.Series = append(fig.Series, p99Series("p99/chaos-cluster", first.window, first.p99))
 
 	fig.Metric("cluster/ok", float64(first.ok))
 	fig.Metric("cluster/failed", float64(first.failed))

@@ -196,8 +196,7 @@ type seriesJSON struct {
 // JSON renders the figure as an indented `{figure, series, points,
 // metrics}` document. Series keep their insertion order, points their
 // sweep order, and map keys marshal sorted, so the bytes are a pure
-// function of the figure's contents — appendable to BENCH_*.json and
-// byte-stable across parallel runs.
+// function of the figure's contents, byte-stable across parallel runs.
 func (f *Figure) JSON() (string, error) {
 	out := figureJSON{
 		Figure: f.Name, Title: f.Title, XLabel: f.XLabel, YLabel: f.YLabel,

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
-	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/layout"
 	"repro/internal/runner"
@@ -122,53 +120,28 @@ func runDegraded(cfg layout.Config, fail, spare bool, ios int, seed int64) (degr
 		}
 	}
 
-	const sectors = 8
-	const outstanding = 4
-	rng := rand.New(rand.NewSource(seed + 101))
 	var res degradedRes
 	var total des.Time
 	start := sim.Now()
 	measureFrom := start + degradedWarmup
-	finished := 0
 	measured := 0
-	var issue func()
-	issued := 0
-	issue = func() {
-		if issued >= ios {
-			return
+	end, err := readLoop("degraded", sim, a, ios, seed+101, func(r coreResult) {
+		if r.Done >= measureFrom {
+			measured++
 		}
-		issued++
-		off := rng.Int63n(a.DataSectors() - sectors)
-		if err := a.Submit(core.Read, off, sectors, false, func(r coreResult) {
-			finished++
-			if r.Done >= measureFrom {
-				measured++
-			}
-			if r.Failed {
-				res.lost++
-			} else {
-				res.served++
-				total += r.Latency()
-			}
-			issue()
-		}); err != nil {
-			panic(err)
+		if r.Failed {
+			res.lost++
+		} else {
+			res.served++
+			total += r.Latency()
 		}
-	}
-	for i := 0; i < outstanding && i < ios; i++ {
-		issue()
-	}
-	for finished < ios {
-		if !sim.Step() {
-			return degradedRes{}, fmt.Errorf("experiments: degraded run stalled at %d/%d", finished, ios)
-		}
+	})
+	if err != nil {
+		return degradedRes{}, err
 	}
 	if res.served > 0 {
 		res.mean = total / des.Time(res.served)
 	}
-	res.iops = measuredRate(measured, start, sim.Now(), degradedWarmup)
-	if !a.Drain(des.Hour) {
-		return degradedRes{}, fmt.Errorf("experiments: degraded run failed to drain")
-	}
+	res.iops = measuredRate(measured, start, end, degradedWarmup)
 	return res, nil
 }

@@ -2,15 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/disk"
 	"repro/internal/layout"
 	"repro/internal/runner"
+	"repro/internal/stats"
 )
 
 // FailSlow measures the fail-slow tolerance stack on a RAID-10(6): read
@@ -144,52 +142,26 @@ func runFailSlow(slow, hedge, evict bool, ios int, seed int64) (failSlowRes, err
 		return failSlowRes{}, err
 	}
 
-	const sectors = 8
-	const outstanding = 4
-	rng := rand.New(rand.NewSource(seed + 211))
 	var res failSlowRes
 	lats := make([]des.Time, 0, ios)
 	start := sim.Now()
-	finished := 0
-	var issue func()
-	issued := 0
-	issue = func() {
-		if issued >= ios {
-			return
+	end, err := readLoop("fail-slow", sim, a, ios, seed+211, func(r coreResult) {
+		if !r.Failed {
+			res.served++
+			lats = append(lats, r.Latency())
 		}
-		issued++
-		off := rng.Int63n(a.DataSectors() - sectors)
-		if err := a.Submit(core.Read, off, sectors, false, func(r coreResult) {
-			finished++
-			if !r.Failed {
-				res.served++
-				lats = append(lats, r.Latency())
-			}
-			issue()
-		}); err != nil {
-			panic(err)
-		}
+	})
+	if err != nil {
+		return failSlowRes{}, err
 	}
-	for i := 0; i < outstanding && i < ios; i++ {
-		issue()
-	}
-	for finished < ios {
-		if !sim.Step() {
-			return failSlowRes{}, fmt.Errorf("experiments: fail-slow run stalled at %d/%d", finished, ios)
-		}
-	}
-	res.iops = measuredRate(res.served, start, sim.Now(), 0)
-	if !a.Drain(des.Hour) {
-		return failSlowRes{}, fmt.Errorf("experiments: fail-slow run failed to drain")
-	}
+	res.iops = measuredRate(res.served, start, end, 0)
 
 	// Percentiles over the steady-state window (completion order is
 	// deterministic, so the trim is too).
 	warm := lats[int(float64(len(lats))*failSlowWarmupFrac):]
-	sort.Slice(warm, func(i, j int) bool { return warm[i] < warm[j] })
-	res.p50 = pctile(warm, 0.50)
-	res.p99 = pctile(warm, 0.99)
-	res.p999 = pctile(warm, 0.999)
+	res.p50 = stats.NearestRank(warm, 1, 2)
+	res.p99 = stats.NearestRank(warm, 99, 100)
+	res.p999 = stats.NearestRank(warm, 999, 1000)
 
 	res.hedges = a.Hedges()
 	fc := a.Faults()
@@ -197,19 +169,4 @@ func runFailSlow(slow, hedge, evict bool, ios int, seed int64) (failSlowRes, err
 	res.slowCommands = fc.SlowCommands
 	res.stutters = fc.Stutters
 	return res, nil
-}
-
-// pctile returns the q-quantile of a sorted sample (nearest-rank).
-func pctile(sorted []des.Time, q float64) des.Time {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }

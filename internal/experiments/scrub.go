@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/des"
 	"repro/internal/layout"
 	"repro/internal/runner"
 )
@@ -124,40 +122,14 @@ func runScrub(cfg layout.Config, rate float64, ios int, seed int64) (scrubRes, e
 		}
 	}
 
-	const sectors = 8
-	const outstanding = 4
-	rng := rand.New(rand.NewSource(seed + 307))
-	finished := 0
-	var issue func()
-	issued := 0
-	issue = func() {
-		if issued >= ios {
-			return
+	if _, err := readLoop("scrub", sim, a, ios, seed+307, func(r coreResult) {
+		if r.Failed {
+			res.exposed++
+		} else {
+			res.served++
 		}
-		issued++
-		off := rng.Int63n(a.DataSectors() - sectors)
-		if err := a.Submit(core.Read, off, sectors, false, func(r coreResult) {
-			finished++
-			if r.Failed {
-				res.exposed++
-			} else {
-				res.served++
-			}
-			issue()
-		}); err != nil {
-			panic(err)
-		}
-	}
-	for i := 0; i < outstanding && i < ios; i++ {
-		issue()
-	}
-	for finished < ios {
-		if !sim.Step() {
-			return scrubRes{}, fmt.Errorf("experiments: scrub run stalled at %d/%d", finished, ios)
-		}
-	}
-	if !a.Drain(des.Hour) {
-		return scrubRes{}, fmt.Errorf("experiments: scrub run failed to drain")
+	}); err != nil {
+		return scrubRes{}, err
 	}
 
 	fc := a.Faults()

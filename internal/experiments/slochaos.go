@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/des"
-	"repro/internal/disk"
 	"repro/internal/layout"
 	"repro/internal/service"
 	"repro/internal/slo"
@@ -117,27 +115,8 @@ func runSLOGateway(spec sloGatewaySpec, on bool) (*sloGatewayRes, error) {
 	}
 	res := &sloGatewayRes{}
 	chaos.Arm(sim, spec.sc, 0, func(e chaos.Event) {
-		switch e.Kind {
-		case chaos.DriveFail:
-			if a.Crashed() || a.FailDrive(e.Drive) != nil {
-				res.skipped++
-			}
-		case chaos.SlowDrive:
-			if a.SetDriveSlow(e.Drive, disk.SlowProfile{Factor: e.Factor}) != nil {
-				res.skipped++
-			}
-		case chaos.ScrubPass:
-			if a.Crashed() || a.StartScrub(core.ScrubOptions{MBps: e.Factor, Passes: 1}) != nil {
-				res.skipped++
-			}
-		case chaos.BrickCrash:
-			if err := a.Crash(); err != nil {
-				panic(fmt.Sprintf("slo-chaos: crash: %v", err))
-			}
-		case chaos.BrickRecover:
-			if err := a.Recover(); err != nil {
-				panic(fmt.Sprintf("slo-chaos: recover: %v", err))
-			}
+		if !chaos.Apply(a, e) {
+			res.skipped++
 		}
 	})
 	var ctl *slo.Controller
@@ -216,16 +195,13 @@ func defaultSLOGatewaySpec(c Config) (sloGatewaySpec, error) {
 	total := c.IometerIOs * 8
 	perTenant := total / tenants
 	span := des.Time(perTenant) * 12 * des.Millisecond
-	sc, err := chaos.Generate(c.Seed, chaos.Options{
+	sc, err := genScenario(c.Seed, chaos.Options{
 		Bricks: 1, DrivesPerBrick: cfg.Disks(),
 		Start: span / 12, Horizon: span / 2,
 		DriveFails: 1, SlowDrives: 1, BrickCrashes: 1, ScrubPasses: 1,
 		SlowFactor: 8, OutageFrac: 1.0 / 20, ScrubMBps: 128,
 	})
 	if err != nil {
-		return sloGatewaySpec{}, err
-	}
-	if err := sc.Validate(1, cfg.Disks()); err != nil {
 		return sloGatewaySpec{}, err
 	}
 	var targets, met [slo.NumTiers]des.Time
@@ -267,7 +243,6 @@ type sloClusterSpec struct {
 	sectors     int
 	readFrac    float64
 	seed        int64
-	workers     int
 	on          bool
 	sc          chaos.Scenario
 	window      des.Time // compliance/p99 window
@@ -286,33 +261,37 @@ type sloClusterTier struct {
 // completion callback, so the control loop rides the epoch protocol's
 // isolation for free.
 type sloCluster struct {
+	clientLoop
 	spec sloClusterSpec
 	sims []*des.Sim // sims[0] = client, sims[1+b] = brick b
 	arr  []*core.Array
 	ctl  []*slo.Controller // nil entries when the controller is off
-	send func(from, to int, at des.Time, fn func())
+	send sendFn
 
 	rng      *rand.Rand
 	vol      int64
-	issued   int
-	finished int
-	shrink   int
-	latNs    int64
-	last     des.Time
 	perBrick []int
 	tiers    [slo.NumTiers]sloClusterTier
-	wins     [][]int64
 	skipped  []int
 }
 
-func buildSLOCluster(spec sloClusterSpec, sims []*des.Sim, send func(int, int, des.Time, func())) (*sloCluster, error) {
+func buildSLOCluster(spec sloClusterSpec, sims []*des.Sim, send sendFn) (*sloCluster, error) {
 	c := &sloCluster{
-		spec: spec, sims: sims, send: send,
+		clientLoop: clientLoop{sim: sims[0], ios: spec.ios, outstanding: spec.outstanding, window: spec.window},
+		spec:       spec, sims: sims, send: send,
 		rng:      rand.New(rand.NewSource(spec.seed)),
 		arr:      make([]*core.Array, spec.bricks),
 		ctl:      make([]*slo.Controller, spec.bricks),
 		perBrick: make([]int, spec.bricks),
 		skipped:  make([]int, spec.bricks),
+	}
+	// A request's tier is a pure function of the issue order, fixed before
+	// its first draw, so the tier mix is identical with the controller on
+	// and off.
+	c.attempt = func(seq int, submitAt des.Time) {
+		tier := sloTierOf(seq)
+		c.tiers[tier].issued++
+		c.sendDraw(tier, submitAt)
 	}
 	for b := range c.arr {
 		a, err := core.New(sims[1+b], core.Options{
@@ -332,86 +311,23 @@ func buildSLOCluster(spec sloClusterSpec, sims []*des.Sim, send func(int, int, d
 			c.ctl[b] = ctl
 		}
 		b := b
-		chaos.Arm(sims[1+b], spec.sc, b, func(e chaos.Event) { c.applyBrick(b, e) })
+		chaos.Arm(sims[1+b], spec.sc, b, func(e chaos.Event) {
+			if !chaos.Apply(a, e) {
+				c.skipped[b]++
+			}
+		})
 	}
-	chaos.Arm(sims[0], spec.sc, chaos.ClientBrick, c.applyClient)
+	chaos.Arm(sims[0], spec.sc, chaos.ClientBrick, c.burst)
 	c.vol = c.arr[0].DataSectors() - int64(spec.sectors)
 	sims[0].At(0, c.prime)
 	return c, nil
 }
 
-// applyBrick lands one scenario event on brick b (same tolerance rules
-// as the chaos experiment: state-rejected drive/scrub events are counted
-// and dropped, crash/recover must apply).
-func (c *sloCluster) applyBrick(b int, e chaos.Event) {
-	a := c.arr[b]
-	switch e.Kind {
-	case chaos.DriveFail:
-		if a.Crashed() || a.FailDrive(e.Drive) != nil {
-			c.skipped[b]++
-		}
-	case chaos.SlowDrive:
-		if a.SetDriveSlow(e.Drive, disk.SlowProfile{Factor: e.Factor}) != nil {
-			c.skipped[b]++
-		}
-	case chaos.ScrubPass:
-		if a.Crashed() || a.StartScrub(core.ScrubOptions{MBps: e.Factor, Passes: 1}) != nil {
-			c.skipped[b]++
-		}
-	case chaos.BrickCrash:
-		if err := a.Crash(); err != nil {
-			panic(fmt.Sprintf("slo-chaos: brick %d crash: %v", b, err))
-		}
-	case chaos.BrickRecover:
-		if err := a.Recover(); err != nil {
-			panic(fmt.Sprintf("slo-chaos: brick %d recover: %v", b, err))
-		}
-	}
-}
-
-func (c *sloCluster) applyClient(e chaos.Event) {
-	if e.Kind != chaos.LoadBurst {
-		return
-	}
-	extra := int(e.Factor)
-	for i := 0; i < extra; i++ {
-		c.issue()
-	}
-	c.sims[0].At(e.At+e.Duration, func() { c.shrink += extra })
-}
-
-func (c *sloCluster) prime() {
-	window := c.spec.outstanding
-	if window > c.spec.ios {
-		window = c.spec.ios
-	}
-	for i := 0; i < window; i++ {
-		c.issue()
-	}
-}
-
-// issue claims the next logical request; its tier is a pure function of
-// the issue order, so the tier mix is identical on and off.
-func (c *sloCluster) issue() {
-	if c.issued >= c.spec.ios {
-		return
-	}
-	tier := sloTierOf(c.issued)
-	c.issued++
-	c.tiers[tier].issued++
-	c.attempt(tier, c.sims[0].Now())
-}
-
-// attempt draws a fresh (brick, offset, op) and sends it over the link;
+// sendDraw draws a fresh (brick, offset, op) and sends it over the link;
 // submitAt survives retries and shed bounces so measured latency
 // includes every stall the request actually suffered.
-func (c *sloCluster) attempt(tier slo.Tier, submitAt des.Time) {
-	b := c.rng.Intn(c.spec.bricks)
-	off := c.rng.Int63n(c.vol)
-	op := core.Read
-	if c.rng.Float64() >= c.spec.readFrac {
-		op = core.Write
-	}
+func (c *sloCluster) sendDraw(tier slo.Tier, submitAt des.Time) {
+	b, off, op := drawBrickOp(c.rng, c.spec.bricks, c.vol, c.spec.readFrac)
 	c.send(0, 1+b, c.sims[0].Now()+bigLinkLat, func() { c.submit(b, tier, off, op, submitAt) })
 }
 
@@ -425,14 +341,14 @@ func (c *sloCluster) submit(b int, tier slo.Tier, off int64, op core.Op, submitA
 	if ra, ok := c.ctl[b].Admit(sim.Now(), name); !ok {
 		c.send(1+b, 0, sim.Now()+bigLinkLat, func() {
 			c.tiers[tier].shed++
-			c.sims[0].After(ra, func() { c.attempt(tier, submitAt) })
+			c.sims[0].After(ra, func() { c.sendDraw(tier, submitAt) })
 		})
 		return
 	}
 	err := a.Submit(op, off, c.spec.sectors, false, func(r coreResult) {
 		c.ctl[b].Observe(sim.Now(), name, sim.Now()-submitAt, r.Failed)
 		failed := r.Failed
-		c.send(1+b, 0, sim.Now()+bigLinkLat, func() { c.complete(b, tier, submitAt, failed) })
+		c.send(1+b, 0, sim.Now()+bigLinkLat, func() { c.done(b, tier, submitAt, failed) })
 	})
 	if err != nil {
 		// Powered off: a synchronous rejection is SLO evidence (the same
@@ -440,40 +356,24 @@ func (c *sloCluster) submit(b int, tier slo.Tier, off int64, op core.Op, submitA
 		c.ctl[b].Observe(sim.Now(), name, 0, true)
 		c.send(1+b, 0, sim.Now()+bigLinkLat, func() {
 			c.tiers[tier].rejected++
-			c.sims[0].After(chaosRetry, func() { c.attempt(tier, submitAt) })
+			c.sims[0].After(chaosRetry, func() { c.sendDraw(tier, submitAt) })
 		})
 	}
 }
 
-func (c *sloCluster) complete(b int, tier slo.Tier, submitAt des.Time, failed bool) {
-	now := c.sims[0].Now()
-	if now > c.last {
-		c.last = now
-	}
-	c.finished++
+// done retires one logical request on the client shard.
+func (c *sloCluster) done(b int, tier slo.Tier, submitAt des.Time, failed bool) {
+	lat := c.complete(submitAt, failed)
 	c.perBrick[b]++
 	tt := &c.tiers[tier]
 	if failed {
 		tt.failed++
-	} else {
-		tt.ok++
-		lat := now - submitAt
-		ns := int64(math.Round(float64(lat) * 1000))
-		c.latNs += ns
-		if lat <= c.spec.tierSLO[tier] {
-			tt.sloOK++
-		}
-		w := int(now / c.spec.window)
-		for len(c.wins) <= w {
-			c.wins = append(c.wins, nil)
-		}
-		c.wins[w] = append(c.wins[w], ns)
-	}
-	if c.shrink > 0 {
-		c.shrink--
 		return
 	}
-	c.issue()
+	tt.ok++
+	if lat <= c.spec.tierSLO[tier] {
+		tt.sloOK++
+	}
 }
 
 // sloClusterRes summarizes one cluster run; digest equality across
@@ -488,11 +388,7 @@ type sloClusterRes struct {
 }
 
 func (c *sloCluster) result(events uint64) *sloClusterRes {
-	r := &sloClusterRes{window: c.spec.window, tiers: c.tiers, events: events}
-	r.p99 = make([]int64, len(c.wins))
-	for i, w := range c.wins {
-		r.p99[i] = p99ns(w)
-	}
+	r := &sloClusterRes{window: c.spec.window, tiers: c.tiers, events: events, p99: c.p99()}
 	var b strings.Builder
 	b.WriteString(c.spec.sc.Timeline())
 	fmt.Fprintf(&b, "issued=%d finished=%d latNs=%d last=%.6f perBrick=%v p99=%v events=%d\n",
@@ -519,26 +415,17 @@ func (c *sloCluster) result(events uint64) *sloClusterRes {
 }
 
 // runSLOCluster executes one cluster run on the sharded epoch engine.
-func runSLOCluster(spec sloClusterSpec) (*sloClusterRes, error) {
-	sh := des.NewSharded(spec.bricks+1, bigLinkLat)
-	if spec.workers > 0 {
-		if err := sh.SetWorkers(spec.workers); err != nil {
-			return nil, err
-		}
-	}
-	sims := make([]*des.Sim, spec.bricks+1)
-	for i := range sims {
-		sims[i] = sh.Shard(i)
-	}
-	c, err := buildSLOCluster(spec, sims, sh.Send)
+func runSLOCluster(spec sloClusterSpec, workers int) (*sloClusterRes, error) {
+	c, events, err := runSharded(spec.bricks, workers, func(sims []*des.Sim, send sendFn) (*sloCluster, error) {
+		return buildSLOCluster(spec, sims, send)
+	})
 	if err != nil {
 		return nil, err
 	}
-	sh.Run()
-	if c.finished != c.spec.ios {
-		return nil, fmt.Errorf("experiments: slo cluster drained at %d/%d completions", c.finished, c.spec.ios)
+	if err := c.drained("slo cluster"); err != nil {
+		return nil, err
 	}
-	return c.result(sh.Processed()), nil
+	return c.result(events), nil
 }
 
 // defaultSLOClusterSpec sizes the cluster run: three 8-drive bricks, a
@@ -548,16 +435,13 @@ func defaultSLOClusterSpec(c Config, on bool) (sloClusterSpec, error) {
 	cfg := layout.Config{Ds: 2, Dr: 2, Dm: 2}
 	ios := c.IometerIOs * 2
 	horizon := des.Time(ios) * 200 * des.Microsecond
-	sc, err := chaos.Generate(c.Seed, chaos.Options{
+	sc, err := genScenario(c.Seed, chaos.Options{
 		Bricks: bricks, DrivesPerBrick: cfg.Disks(),
 		Start: 5 * des.Millisecond, Horizon: horizon,
 		DriveFails: 1, SlowDrives: 2, BrickCrashes: 1, ScrubPasses: 2, LoadBursts: 1,
 		SlowFactor: 8, ScrubMBps: 128,
 	})
 	if err != nil {
-		return sloClusterSpec{}, err
-	}
-	if err := sc.Validate(bricks, cfg.Disks()); err != nil {
 		return sloClusterSpec{}, err
 	}
 	var targets, tierSLO [slo.NumTiers]des.Time
@@ -631,33 +515,20 @@ func SLOChaos(c Config) (*Figure, error) {
 
 	// Cluster stage: off and on, each at worker counts 1, 2, 4 with
 	// byte-identical digests required.
-	var clOff, clOn *sloClusterRes
-	for _, on := range []bool{false, true} {
+	var cl [2]*sloClusterRes
+	for i, on := range []bool{false, true} {
 		cspec, err := defaultSLOClusterSpec(c, on)
 		if err != nil {
 			return nil, err
 		}
-		var first *sloClusterRes
-		for _, w := range []int{1, 2, 4} {
-			s := cspec
-			s.workers = w
-			r, err := runSLOCluster(s)
-			if err != nil {
-				return nil, err
-			}
-			if first == nil {
-				first = r
-			} else if r.digest != first.digest {
-				return nil, fmt.Errorf("experiments: worker count changed the slo cluster run (on=%v):\n%q\nvs\n%q",
-					on, r.digest, first.digest)
-			}
-		}
-		if on {
-			clOn = first
-		} else {
-			clOff = first
+		cl[i], err = sameAtWorkers(fmt.Sprintf("slo cluster (on=%v)", on), func(w int) (*sloClusterRes, error) {
+			return runSLOCluster(cspec, w)
+		}, func(r *sloClusterRes) string { return r.digest })
+		if err != nil {
+			return nil, err
 		}
 	}
+	clOff, clOn := cl[0], cl[1]
 
 	fig := &Figure{
 		Name:   "slo-chaos",
@@ -665,16 +536,9 @@ func SLOChaos(c Config) (*Figure, error) {
 		XLabel: "window end (ms of simulated time)",
 		YLabel: "p99 response time (ms)",
 	}
-	var sOff, sOn Series
-	sOff.Label = "p99/controller-off"
-	sOn.Label = "p99/controller-on"
-	for i, ns := range clOff.p99 {
-		sOff.Add(float64(clOff.window)*float64(i+1)/1000, float64(ns)/1e6)
-	}
-	for i, ns := range clOn.p99 {
-		sOn.Add(float64(clOn.window)*float64(i+1)/1000, float64(ns)/1e6)
-	}
-	fig.Series = append(fig.Series, sOff, sOn)
+	fig.Series = append(fig.Series,
+		p99Series("p99/controller-off", clOff.window, clOff.p99),
+		p99Series("p99/controller-on", clOn.window, clOn.p99))
 
 	for t := slo.Premium; t < slo.NumTiers; t++ {
 		name := t.String()

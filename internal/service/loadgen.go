@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/des"
+	"repro/internal/stats"
 )
 
 // Harness stands up the full in-process serving stack over a volume:
@@ -314,15 +315,8 @@ func (h *Harness) RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	for _, idx := range idxs {
 		g := wins[idx]
 		w := Window{Index: idx, Count: g.count, OK: g.ok, Limited: g.limited,
-			Overloaded: g.overloaded, Failed: g.failed}
-		if len(g.lats) > 0 {
-			sort.Float64s(g.lats)
-			k := (len(g.lats)*99 + 99) / 100
-			if k > len(g.lats) {
-				k = len(g.lats)
-			}
-			w.P99 = des.Time(g.lats[k-1])
-		}
+			Overloaded: g.overloaded, Failed: g.failed,
+			P99: des.Time(stats.NearestRank(g.lats, 99, 100))}
 		rep.Windows = append(rep.Windows, w)
 	}
 	return rep, nil

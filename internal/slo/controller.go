@@ -3,12 +3,12 @@ package slo
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/obs"
+	"repro/internal/stats"
 )
 
 // Controller is the control loop. It buckets completions into fixed
@@ -201,7 +201,7 @@ func (c *Controller) closeWindow() {
 		target := c.opts.Targets[t]
 		if target > 0 && len(c.lats[t]) >= c.opts.minSamples() {
 			judged = true
-			if p99(c.lats[t]) > target {
+			if stats.NearestRank(c.lats[t], 99, 100) > target {
 				violating = true
 				c.ctr.tierViolations[t]++
 			}
@@ -287,21 +287,6 @@ func clampMBps(configured, floor, def float64) float64 {
 		return cur
 	}
 	return floor
-}
-
-// p99 computes the same nearest-rank percentile the load generator and
-// observability windows use.
-func p99(lats []des.Time) des.Time {
-	s := append([]des.Time(nil), lats...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	k := (len(s)*99 + 99) / 100
-	if k < 1 {
-		k = 1
-	}
-	if k > len(s) {
-		k = len(s)
-	}
-	return s[k-1]
 }
 
 // TierCounters is the per-tier slice of a State snapshot. MeanUS and

@@ -4,8 +4,10 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/des"
@@ -77,6 +79,21 @@ func (c *Collector) Percentile(p float64) des.Time {
 		rank = 1 // p so small the ceil underflows to 0
 	}
 	return des.Time(s[rank-1])
+}
+
+// NearestRank returns the num/den quantile of vals by nearest rank — the
+// element at 1-based position ceil(num*n/den) of the sorted sample, in
+// integer arithmetic so every caller picks the same element — or the zero
+// value for an empty sample. It sorts a copy; vals keeps its order.
+func NearestRank[T cmp.Ordered](vals []T, num, den int) T {
+	n := len(vals)
+	if n == 0 {
+		var zero T
+		return zero
+	}
+	s := slices.Clone(vals)
+	slices.Sort(s)
+	return s[min(max((num*n+den-1)/den, 1), n)-1]
 }
 
 // Max returns the largest sample.

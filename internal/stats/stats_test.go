@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -188,5 +189,57 @@ func TestTrimWarmup(t *testing.T) {
 			}()
 			TrimWarmup(bad.start, bad.end, bad.warmup)
 		})
+	}
+}
+
+// TestNearestRankMatchesReplacedFormulas holds NearestRank to the three
+// hand-written percentiles it replaced — the p99 of the SLO controller and
+// the experiments' windows, (99n+99)/100 clamped to n, and the fail-slow
+// experiment's ceil(q*n) for q = 0.5, 0.99, 0.999 — at every sample size
+// those callers can reach in a short run.
+func TestNearestRankMatchesReplacedFormulas(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n <= 300; n++ {
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = rng.Int63n(1000)
+		}
+		orig := append([]int64(nil), vals...)
+		sorted := append([]int64(nil), vals...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+
+		if n == 0 {
+			if got := NearestRank(vals, 99, 100); got != 0 {
+				t.Fatalf("empty sample: got %d, want the zero value", got)
+			}
+			continue
+		}
+		k := (99*n + 99) / 100
+		if k > n {
+			k = n
+		}
+		if got := NearestRank(vals, 99, 100); got != sorted[k-1] {
+			t.Fatalf("n=%d: p99 = %d, integer formula picks %d", n, got, sorted[k-1])
+		}
+		for _, q := range []struct {
+			num, den int
+			f        float64
+		}{{1, 2, 0.50}, {99, 100, 0.99}, {999, 1000, 0.999}} {
+			i := int(math.Ceil(q.f*float64(n))) - 1
+			if i < 0 {
+				i = 0
+			}
+			if i >= n {
+				i = n - 1
+			}
+			if got := NearestRank(vals, q.num, q.den); got != sorted[i] {
+				t.Fatalf("n=%d q=%v: got %d, ceil(q*n) picks %d", n, q.f, got, sorted[i])
+			}
+		}
+		for i := range vals {
+			if vals[i] != orig[i] {
+				t.Fatalf("n=%d: NearestRank reordered its input", n)
+			}
+		}
 	}
 }

@@ -7,8 +7,10 @@ cd "$(dirname "$0")/.."
 set -x
 go build ./...
 go vet ./...
-go test -race ./...
-go test -shuffle=on ./...
+# internal/experiments under the race detector needs 12-13 minutes on a
+# 2-CPU box, past go test's default 10-minute package timeout.
+go test -race -timeout 30m ./...
+go test -shuffle=on -timeout 30m ./...
 # The corruption/scrub/hedge composition tests exercise the most
 # cross-subsystem state; run them twice under the race detector to
 # catch order-dependent residue the single pass can miss.
@@ -16,9 +18,12 @@ go test -race -count=2 -run 'TestScrub|TestCorruption|TestSilent|TestLatent|Test
 # Crash/chaos composition: the crash state machine plus the chaos
 # experiment (which digest-checks itself across 1/2/4 epoch workers and
 # both NVRAM durability modes); run twice under the race detector to
-# catch order-dependent residue.
+# catch order-dependent residue. The golden test puts the closed-loop
+# client all four multi-brick experiments share under the race detector
+# at 1/2/4 workers, and holds their output to the committed bytes (about
+# five minutes a pass under -race on 2 CPUs, hence the timeout).
 go test -race -count=2 -run 'TestCrash|TestBatteryHorizon|TestScheduledCrash|TestBatchThenCrash|TestRepeatedCrash' ./internal/core
-go test -race -count=2 -run 'TestChaos' ./internal/chaos ./internal/experiments
+go test -race -count=2 -timeout 30m -run 'TestChaos|TestClusterExperimentsGolden' ./internal/chaos ./internal/experiments
 # Cluster volume: the replicated-router suite (failover, breaker,
 # divergence/backfill reconciliation, DeclareDead, zero-alloc guard)
 # twice under the race detector, the cluster-backed gateway tests, and

@@ -659,14 +659,14 @@ func (a *Array) Submit(op Op, off int64, count int, async bool, done func(Result
 	ur.submit = a.sim.Now()
 	ur.done = done
 	ur.remaining = len(pieces)
-	// The resolved extents outlive the request's completion in three cases,
-	// which fall back to the garbage collector: delayed-mode writes park
-	// arena extents in delayedCopies until propagation lands; a hedged read
-	// can leave its duplicate in flight past the primary's completion; and
-	// with the integrity oracle on, repair machinery is kept conservative.
-	ur.noRecycle = a.opts.Hedge || a.integrity ||
-		(op == Write && !a.opts.ForegroundWrites)
-	ur.submitting = true
+	// The resolved extents outlive the request's completion in two cases,
+	// which fall back to the garbage collector: a hedged read can leave its
+	// duplicate in flight past the primary's completion; and with the
+	// integrity oracle on, repair machinery is kept conservative. Delayed-mode
+	// writes recycle like everything else: their propagation copies own the
+	// extents they write (registerPropagation).
+	ur.noRecycle = a.opts.Hedge || a.integrity
+	ur.held = true
 	for i := range pieces {
 		p := &pieces[i]
 		if op == Read {
@@ -675,12 +675,9 @@ func (a *Array) Submit(op Op, off int64, count int, async bool, done func(Result
 			a.submitWrite(ur, p)
 		}
 	}
-	ur.submitting = false
-	if ur.remaining == 0 && ur.pooled && !ur.noRecycle {
-		// Every piece resolved synchronously (failure paths); pieceDone
-		// deferred the recycle to us.
-		a.putUR(ur)
-	}
+	// If every piece resolved synchronously (failure paths), pieceDone left
+	// the recycle to us.
+	ur.unhold()
 	return nil
 }
 
@@ -900,11 +897,11 @@ type userRequest struct {
 	mergeBuf []layout.Piece
 	lastAt   []int // position -> merge index, reset each use
 
-	pooled     bool // came from the free list; eligible for putUR
-	noRecycle  bool // extents outlive completion; leave to the GC
-	submitting bool // inside Submit's pieces loop; defer recycle
-	free       bool
-	next       *userRequest
+	pooled    bool // came from the free list; eligible for putUR
+	noRecycle bool // extents outlive completion; leave to the GC
+	held      bool // a frame is still reading the pieces; unhold recycles
+	free      bool
+	next      *userRequest
 }
 
 func (ur *userRequest) pieceDone() {
@@ -928,9 +925,19 @@ func (ur *userRequest) pieceDone() {
 	// Recycle only after the user's callback returns: the Result references
 	// nothing of ours, and the callback commonly reissues (closed loop),
 	// which would otherwise hand back this very object while the caller's
-	// frame still points at it. If we are inside Submit's synchronous
-	// pieces loop, Submit recycles after the loop instead.
-	if ur.pooled && !ur.noRecycle && !ur.submitting {
+	// frame still points at it. A frame that holds the request (Submit's
+	// pieces loop, the delayed-mode first-copy completion) recycles it in
+	// unhold instead.
+	if ur.pooled && !ur.noRecycle && !ur.held {
+		ur.a.putUR(ur)
+	}
+}
+
+// unhold ends a hold, recycling the request if its last piece completed
+// meanwhile.
+func (ur *userRequest) unhold() {
+	ur.held = false
+	if ur.remaining == 0 && ur.pooled && !ur.noRecycle {
 		ur.a.putUR(ur)
 	}
 }

@@ -114,6 +114,11 @@ type delayedCopy struct {
 	// dispatchDelayed window scan that scores the copy (it is re-scored at
 	// every scan until it is chosen).
 	tgt disk.Target
+	// own backs extents for propagation copies, which outlive the write
+	// request whose arena they were resolved into; it stays with the copy
+	// across getCopy/putCopy. Rebuild and repair copies point extents at
+	// slices they do not own and leave it empty.
+	own []disk.Extent
 
 	free bool         // on the free list (see pool.go)
 	next *delayedCopy //
@@ -226,9 +231,9 @@ func (a *Array) submitWriteGated(ur *userRequest, p *layout.Piece) {
 
 	// Delayed mode: first write duplicated across mirror disks; the
 	// scheduler on whichever drive claims it picks the cheapest replica.
-	g := &dupGroup{}
-	if len(live) == 1 {
-		g = nil
+	var g *dupGroup
+	if len(live) > 1 {
+		g = &dupGroup{}
 	}
 	for _, id := range live {
 		d := a.drives[id]
@@ -301,7 +306,8 @@ func (a *Array) registerPropagation(p *layout.Piece, first *drive, chosen int, l
 			c := a.getCopy()
 			c.entry = entry
 			c.replica = j
-			c.extents = p.Replicas[j]
+			c.own = append(c.own, p.Replicas[j]...)
+			c.extents = c.own
 			c.chunk = p.Chunk
 			c.off = p.Off
 			c.count = p.Count
@@ -339,6 +345,12 @@ func (a *Array) registerPropagation(p *layout.Piece, first *drive, chosen int, l
 // coalesce discards still-queued propagations the new write fully covers:
 // data that dies young never reaches the platter twice (Section 3.4).
 func (a *Array) coalesce(d *drive, chunk, off int64, count, replica int) {
+	// Every propagation copy enters d.delayed together with a staleness mark
+	// and holds it until it resolves, so no mark means nothing queued for
+	// this (chunk, replica) and the queue need not be scanned.
+	if cs := d.stale[chunk]; cs == nil || cs.staleCount[replica] == 0 {
+		return
+	}
 	kept := d.delayed[:0]
 	for _, c := range d.delayed {
 		// Rebuild and repair copies are not propagations: they hold no

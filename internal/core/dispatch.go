@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bus"
 	"repro/internal/calib"
@@ -388,7 +389,7 @@ func (a *Array) finishRun(r *extentRun, last bus.Completion, clean bool) {
 		default:
 			// Double fault with the drive alive: the copy must still land.
 			// Put it back at the front and let the next idle window retry.
-			d.delayed = append([]*delayedCopy{c}, d.delayed...)
+			d.delayed = slices.Insert(d.delayed, 0, c)
 		}
 		a.kick(d)
 		if pr != nil {

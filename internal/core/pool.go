@@ -21,12 +21,20 @@ package core
 //     expiry) revalidate through the tag's generation counter: getReq bumps
 //     tag.gen, so a deadline armed against a previous life never touches
 //     the queue.
-//   - A pooled userRequest recycles when its last piece completes, unless
-//     its resolved extents outlive it (delayed-mode writes park arena
-//     extents in delayedCopies; hedged reads can leave a duplicate in
-//     flight past completion; the integrity oracle's repair machinery
-//     resolves chunks independently but stays conservative) — those cases
-//     set noRecycle and fall back to the garbage collector.
+//   - A pooled userRequest recycles when its last piece completes, reads
+//     and writes in both propagation modes alike: nothing a write leaves
+//     behind points into the request's arena, because a propagation
+//     delayedCopy owns the extents it will write (registerPropagation copies
+//     them into backing the copy keeps across getCopy/putCopy). While a
+//     frame is still reading the request's pieces it sets held, and the last
+//     pieceDone leaves the recycle to that frame's unhold: Submit's pieces
+//     loop, and the delayed-mode first-copy completion, whose callback
+//     usually resubmits — which would pop this very request and resolve over
+//     the piece registerPropagation and releaseWriteGate read next. Two
+//     array-wide reasons still set noRecycle and fall back to the garbage
+//     collector: Options.Hedge (a hedged read can leave its duplicate in
+//     flight past completion) and the integrity oracle (its repair machinery
+//     resolves chunks independently but stays conservative).
 //   - Double releases panic via the free flag rather than corrupting the
 //     list.
 //
@@ -327,7 +335,7 @@ func (a *Array) getUR() *userRequest {
 	ur.failed = false
 	ur.err = nil
 	ur.noRecycle = false
-	ur.submitting = false
+	ur.held = false
 	return ur
 }
 
@@ -341,21 +349,24 @@ func (a *Array) putUR(ur *userRequest) {
 		ur.submit = des.Time(-1e18)
 		ur.remaining = -1 << 30
 		ur.done = nil
+		// A *layout.Piece kept past the recycle reads nonsense, not the
+		// plausible extents of the request's previous life.
+		ur.arena.Poison()
 	}
 	ur.next = a.freeURs
 	a.freeURs = ur
 }
 
 // getCopy returns a reset delayedCopy. All flag fields start false — the
-// zero value is a plain propagation copy.
+// zero value is a plain propagation copy — and the owned extent backing
+// survives the reset.
 func (a *Array) getCopy() *delayedCopy {
 	c := a.freeCopies
 	if c == nil {
 		return &delayedCopy{}
 	}
 	a.freeCopies = c.next
-	c.next = nil
-	*c = delayedCopy{}
+	*c = delayedCopy{own: c.own[:0]}
 	return c
 }
 
@@ -368,6 +379,12 @@ func (a *Array) putCopy(c *delayedCopy) {
 		c.entry = nil
 		c.extents = nil
 		c.chunk, c.off = -1, -1
+		// Scrambled, not dropped: a run still walking the previous life's
+		// extents panics on an unmappable cylinder.
+		own := c.own[:cap(c.own)]
+		for i := range own {
+			own[i] = disk.Extent{Start: disk.Chs{Cyl: -1, Head: -1, Sector: -1}, Count: -1}
+		}
 	}
 	c.next = a.freeCopies
 	a.freeCopies = c
@@ -458,10 +475,15 @@ func (a *Array) tagDone(t *reqTag, last bus.Completion, chosen int) {
 		a.noteCopyWritten(t.d, t.fg.chunk, t.rep, t.fg.ver, t.fg.covers, last)
 		a.fgDone(t.fg)
 	case tagFirstWrite:
+		// The caller's callback runs inside pieceDone and draws request IDs
+		// when it resubmits, so it must come first; holding the request keeps
+		// p out of the resubmission's hands until the other two are done.
 		ur, p := t.ur, t.p
+		ur.held = true
 		ur.pieceDone()
 		a.registerPropagation(p, t.d, chosen, last)
 		a.releaseWriteGate(p.Chunk)
+		ur.unhold()
 	case tagPromote:
 		dc := t.dc
 		a.finishCopy(t.d, dc, true, last)

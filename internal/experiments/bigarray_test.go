@@ -121,23 +121,35 @@ func TestBigArrayBatchPrimesSameLoad(t *testing.T) {
 	}
 }
 
-// TestPoolPoisoningPreservesFigures runs a figure with pool poisoning on —
+// TestPoolPoisoningPreservesFigures runs figures with pool poisoning on —
 // every recycled request, extent-run, and copy object is scrambled at
 // release — and requires byte-identical output to the unpoisoned run. Any
 // read of a stale pooled object surfaces as a panic or a diverged figure.
+// Figure 12 is read-only; Figure 6 replays the Cello trace through
+// delayed-mode writes, whose requests recycle too.
 func TestPoolPoisoningPreservesFigures(t *testing.T) {
 	cfg := Config{TraceIOs: 600, IometerIOs: 300, Seed: 1}
-	clean, err := Figure12(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer core.SetPoolPoisoning(core.SetPoolPoisoning(true))
-	poisoned, err := Figure12(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clean.Render() != poisoned.Render() {
-		t.Fatalf("pool poisoning changed figure output:\n--- clean ---\n%s--- poisoned ---\n%s",
-			clean.Render(), poisoned.Render())
+	for _, fig := range []struct {
+		name string
+		run  func() (*Figure, error)
+	}{
+		{"fig12", func() (*Figure, error) { return Figure12(cfg) }},
+		{"fig6-cello-base", func() (*Figure, error) { return Figure6(cfg, "cello-base") }},
+	} {
+		t.Run(fig.name, func(t *testing.T) {
+			clean, err := fig.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer core.SetPoolPoisoning(core.SetPoolPoisoning(true))
+			poisoned, err := fig.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if clean.Render() != poisoned.Render() {
+				t.Fatalf("pool poisoning changed figure output:\n--- clean ---\n%s--- poisoned ---\n%s",
+					clean.Render(), poisoned.Render())
+			}
+		})
 	}
 }

@@ -287,6 +287,27 @@ func (a *Arena) Reset() {
 	a.extents = a.extents[:0]
 }
 
+// Poison overwrites every buffer through its full capacity with values no
+// resolution produces (negative chunk, offset and cylinder, nil replica
+// lists), so a Piece or extent slice kept past its arena's reuse fails
+// loudly instead of reading the next request's placement. For pool-poisoning
+// tests; capacity is retained.
+func (a *Arena) Poison() {
+	pieces := a.pieces[:cap(a.pieces)]
+	for i := range pieces {
+		pieces[i] = Piece{Position: -1, Off: -1, Count: -1, Chunk: -1}
+	}
+	mirrors := a.mirrors[:cap(a.mirrors)]
+	for i := range mirrors {
+		mirrors[i] = -1
+	}
+	clear(a.reps[:cap(a.reps)])
+	extents := a.extents[:cap(a.extents)]
+	for i := range extents {
+		extents[i] = disk.Extent{Start: disk.Chs{Cyl: -1, Head: -1, Sector: -1}, Count: -1}
+	}
+}
+
 // ResolveArena is Resolve backed by ar's buffers (which it Resets first).
 // The returned pieces are value-identical to Resolve's. A nil arena falls
 // back to plain Resolve.

@@ -1,7 +1,7 @@
 #!/bin/sh
 #   scripts/bench.sh guard
 #
-# Gates two hot-path allocation properties with `go test -bench`. (Timing
+# Gates three hot-path allocation properties with `go test -bench`. (Timing
 # and the end-to-end numbers live in bench/ and BENCHMARK.json: `make
 # bench`, and host-time comparisons are alternating parent/change pairs as
 # bench/README.md describes, not a stored ns/op baseline.)
@@ -10,9 +10,13 @@
 # (which build arrays with no obs.Registry attached) must report zero
 # allocs/op — the observability layer must stay free when disabled.
 # Second, the pooled request path: the end-to-end Figure 6 benchmark must
-# stay under FIG6_ALLOC_CAP allocs/op (default 260000, one fifth of the
-# pre-pooling baseline) — a regression here means a request, extent-run,
-# or completion object stopped being recycled. BENCHTIME overrides the
+# stay under FIG6_ALLOC_CAP allocs/op (default 100000; it measures about
+# 69600, and 162500 with delayed-mode writes unpooled) — a regression here
+# means a request, extent-run, or completion object stopped being
+# recycled. Third, the array layer on its own: a delayed-mode write in
+# BenchmarkArrayClosedLoop must report at most 1 allocs/op (go test prints
+# whole numbers: it measures 1.1, its live-mirror slice, and 11 when the
+# write's request, arena or copies stop recycling). BENCHTIME overrides the
 # first gate's -benchtime (default 10000x).
 set -eu
 cd "$(dirname "$0")/.."
@@ -35,7 +39,7 @@ if [ "${1:-}" = "guard" ]; then
         END { exit bad }'
     fig6=$(go test -run '^$' -bench 'BenchmarkFigure6CelloBase$' -benchtime 1x -benchmem .)
     echo "$fig6"
-    echo "$fig6" | tr '\t' ' ' | awk -v cap="${FIG6_ALLOC_CAP:-260000}" '
+    echo "$fig6" | tr '\t' ' ' | awk -v cap="${FIG6_ALLOC_CAP:-100000}" '
         /BenchmarkFigure6CelloBase/ {
             for (i = 1; i <= NF; i++) if ($(i+1) == "allocs/op") {
                 if ($i + 0 > cap) {
@@ -45,7 +49,20 @@ if [ "${1:-}" = "guard" ]; then
                 printf "Figure6 pooled request path: %d allocs/op (cap %d): ok\n", $i, cap
             }
         }'
-    echo "guard: hot paths allocation-free with metrics disabled; pooled request path under alloc cap"
+    arr=$(go test -run '^$' -bench 'BenchmarkArrayClosedLoop' -benchtime 20000x -benchmem ./internal/core/)
+    echo "$arr"
+    echo "$arr" | tr '\t' ' ' | awk '
+        /BenchmarkArrayClosedLoop\/write-delayed/ {
+            for (i = 1; i <= NF; i++) if ($(i+1) == "allocs/op") {
+                seen = 1
+                if ($i + 0 > 1) {
+                    printf "FAIL: a delayed-mode write allocates %d allocs/op (cap 1)\n", $i
+                    exit 1
+                }
+            }
+        }
+        END { if (!seen) { print "FAIL: no BenchmarkArrayClosedLoop/write-delayed result"; exit 1 } }'
+    echo "guard: hot paths allocation-free with metrics disabled; pooled request path and delayed-mode writes under their alloc caps"
     exit 0
 fi
 

@@ -58,3 +58,7 @@ go test -run '^$' -fuzz '^FuzzPreparedEstimate$' -fuzztime 5s ./internal/calib
 # run its smoke test so a change that breaks what bench/ builds against
 # fails here and not at the next measurement.
 (cd bench && go test ./...)
+# And the benchmark command itself, all five workloads at one-sixth scale
+# (about 15 s): it exits non-zero when a workload's output checks fail or an
+# end-to-end metric comes out zero, which the smoke test above does not see.
+bash bench/run.sh -seconds 1 > /dev/null

@@ -142,9 +142,6 @@ type Options struct {
 	// OutageFrac bounds a brick outage to this fraction of the horizon
 	// (default 1/8).
 	OutageFrac float64
-	// BurstExtra is the extra outstanding requests a LoadBurst adds
-	// (default 16).
-	BurstExtra int
 	// ScrubMBps paces ScrubPass events (default 32).
 	ScrubMBps float64
 }
@@ -197,10 +194,6 @@ func Generate(seed int64, o Options) (Scenario, error) {
 	if outageFrac == 0 {
 		outageFrac = 1.0 / 8
 	}
-	burstExtra := o.BurstExtra
-	if burstExtra == 0 {
-		burstExtra = 16
-	}
 	scrubMBps := o.ScrubMBps
 	if scrubMBps == 0 {
 		scrubMBps = 32
@@ -250,11 +243,13 @@ func Generate(seed int64, o Options) (Scenario, error) {
 		ev = append(ev, Event{At: at(0), Kind: ScrubPass, Brick: rng.Intn(o.Bricks), Factor: scrubMBps})
 	}
 
+	// A load burst adds burstExtra outstanding requests.
+	const burstExtra = 16
 	for i := 0; i < o.LoadBursts; i++ {
 		burst := des.Time((rng.Float64()*0.75 + 0.25) * outageFrac * float64(o.Horizon))
 		ev = append(ev, Event{
 			At: at(burst), Kind: LoadBurst, Brick: ClientBrick,
-			Factor: float64(burstExtra), Duration: burst,
+			Factor: burstExtra, Duration: burst,
 		})
 	}
 

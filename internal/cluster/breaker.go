@@ -14,13 +14,11 @@ import (
 //	Healthy — full traffic. Failures are counted; ErrCrashed or a run of
 //	  consecutive failures trips the breaker straight to Open.
 //	Suspect — the brick still serves traffic but is deprioritized: reads
-//	  prefer Healthy replicas, and (with HedgeAfter set) a read that does
-//	  land on a Suspect brick arms a cross-brick hedge. Entered on any
-//	  failure or when the brick's latency EWMA runs SuspectFactor above
-//	  the cluster-wide EWMA; left when the EWMA settles back under
-//	  ReturnFactor or a clean run of traffic completes.
+//	  prefer Healthy replicas. Entered on any failure or when the brick's
+//	  latency EWMA runs suspectFactor above the cluster-wide EWMA; left
+//	  when the EWMA settles back under returnFactor.
 //	Open — no traffic is routed to the brick at all. Entered on
-//	  ErrCrashed or FailThreshold consecutive failures. While Open the
+//	  ErrCrashed or failThreshold consecutive failures. While Open the
 //	  router sends half-open probes on the virtual clock with doubling
 //	  backoff; a probe that completes closes the breaker (and starts the
 //	  brick's backfill), a failed probe re-arms the next one.
@@ -32,7 +30,7 @@ type Health int
 const (
 	// Healthy routes normally.
 	Healthy Health = iota
-	// Suspect routes, deprioritized, and hedges.
+	// Suspect routes, deprioritized.
 	Suspect
 	// Open routes nothing; half-open probes test the brick.
 	Open
@@ -52,9 +50,27 @@ func (s Health) String() string {
 	}
 }
 
-// ewmaAlpha is the smoothing constant of the latency trackers: ~1/16 of
-// each new sample, matching the drive-level health tracker's horizon.
-const ewmaAlpha = 1.0 / 16
+// The breaker's thresholds.
+const (
+	// ewmaAlpha is the smoothing constant of the latency trackers: ~1/16
+	// of each new sample, matching the drive-level health tracker's horizon.
+	ewmaAlpha = 1.0 / 16
+	// ewmaSamples is the minimum samples (per brick and cluster-wide)
+	// before latency judgments engage.
+	ewmaSamples = 16
+	// A brick goes Suspect when its latency EWMA exceeds suspectFactor
+	// times the cluster-wide EWMA, and returns to Healthy at returnFactor
+	// times it or less.
+	suspectFactor = 3.0
+	returnFactor  = 1.5
+	// failThreshold consecutive failures trip the breaker; ErrCrashed
+	// trips it at once.
+	failThreshold = 3
+	// The first half-open probe goes probeAfter after a trip, doubling
+	// per failed probe up to probeMax.
+	probeAfter = 2 * des.Millisecond
+	probeMax   = 20 * des.Millisecond
+)
 
 // brickState is one brick's router-side bookkeeping: breaker, latency
 // tracker, probe schedule, and divergence log.
@@ -116,13 +132,13 @@ func (c *Cluster) noteSuccess(b int, lat des.Time) {
 	}
 	switch st.state {
 	case Healthy:
-		if st.samples >= int64(c.opts.EWMASamples) && c.allSamples >= int64(c.opts.EWMASamples) &&
-			st.ewmaNs > c.opts.SuspectFactor*c.allEwmaNs {
+		if st.samples >= ewmaSamples && c.allSamples >= ewmaSamples &&
+			st.ewmaNs > suspectFactor*c.allEwmaNs {
 			st.state = Suspect
 			c.ctr.Suspects++
 		}
 	case Suspect:
-		if st.ewmaNs <= c.opts.ReturnFactor*c.allEwmaNs {
+		if st.ewmaNs <= returnFactor*c.allEwmaNs {
 			st.state = Healthy
 		}
 	}
@@ -141,7 +157,7 @@ func (c *Cluster) noteFailure(b int, err error) {
 		return
 	}
 	st.consecFails++
-	if st.consecFails >= c.opts.FailThreshold {
+	if st.consecFails >= failThreshold {
 		c.trip(b)
 		return
 	}
@@ -163,7 +179,7 @@ func (c *Cluster) trip(b int) {
 	if st.dead {
 		return
 	}
-	st.probeBackoff = c.opts.ProbeAfter
+	st.probeBackoff = probeAfter
 	st.probeTries = 0
 	c.armProbe(b)
 }
@@ -203,8 +219,8 @@ func (c *Cluster) probe(b int) {
 		c.ctr.ProbeFails++
 		st := &c.br[b]
 		st.probeBackoff *= 2
-		if st.probeBackoff > c.opts.ProbeMax {
-			st.probeBackoff = c.opts.ProbeMax
+		if st.probeBackoff > probeMax {
+			st.probeBackoff = probeMax
 		}
 		c.armProbe(b)
 	})

@@ -50,43 +50,18 @@ type Options struct {
 	// ExtentSectors is the placement granularity (default 4096 sectors).
 	ExtentSectors int64
 	// Seed feeds the rendezvous hash; the extent map is a pure function of
-	// (Seed, brick capacities, Weights, Replicas, ExtentSectors).
+	// (Seed, brick capacities, Replicas, ExtentSectors).
 	Seed int64
-	// Weights override the capacity-proportional rendezvous weights
-	// (len == bricks, all > 0). nil weights each brick by its slot count.
-	Weights []float64
 	// Headroom reserves this fraction of the slot pool for DeclareDead
 	// re-replication (default 1/16; the capacity side of the tradeoff).
 	// Negative means exactly zero headroom — the full slot pool holds
 	// extents, which is what makes a one-brick R=1 cluster address- and
 	// size-identical to the bare brick.
 	Headroom float64
-
-	// FailThreshold trips the breaker after this many consecutive
-	// failures (default 3); ErrCrashed trips it immediately.
-	FailThreshold int
-	// SuspectFactor marks a brick Suspect when its latency EWMA exceeds
-	// SuspectFactor times the cluster-wide EWMA (default 3); ReturnFactor
-	// readmits it below that multiple (default 1.5).
-	SuspectFactor float64
-	ReturnFactor  float64
-	// EWMASamples is the minimum samples (per brick and cluster-wide)
-	// before latency judgments engage (default 16).
-	EWMASamples int
-	// ProbeAfter is the first half-open probe delay after a trip (default
-	// 2ms), doubling per failed probe up to ProbeMax (default 20ms), for
-	// at most ProbeTries probes (default 64) before the brick is parked
-	// Open until RecoverBrick or DeclareDead.
-	ProbeAfter des.Time
-	ProbeMax   des.Time
+	// ProbeTries bounds the half-open probes after a breaker trip (default
+	// 64) before the brick is parked Open until RecoverBrick or
+	// DeclareDead.
 	ProbeTries int
-	// HedgeAfter arms a cross-brick hedge when a read lands on a Suspect
-	// brick and another replica is available: if the read has not
-	// completed after HedgeAfter, a duplicate goes to the next replica and
-	// the first completion wins. 0 disables hedging.
-	HedgeAfter des.Time
-	// RetryBackoff delays each read failover hop (default 0: immediate).
-	RetryBackoff des.Time
 	// BackfillMBps paces backfill and re-replication copies, the same
 	// bandwidth discipline as rebuild and scrub (default 32 MB/s).
 	BackfillMBps float64
@@ -103,24 +78,6 @@ func (o *Options) fill() {
 		o.Headroom = 1.0 / 16
 	} else if o.Headroom < 0 {
 		o.Headroom = 0
-	}
-	if o.FailThreshold == 0 {
-		o.FailThreshold = 3
-	}
-	if o.SuspectFactor == 0 {
-		o.SuspectFactor = 3
-	}
-	if o.ReturnFactor == 0 {
-		o.ReturnFactor = 1.5
-	}
-	if o.EWMASamples == 0 {
-		o.EWMASamples = 16
-	}
-	if o.ProbeAfter == 0 {
-		o.ProbeAfter = 2 * des.Millisecond
-	}
-	if o.ProbeMax == 0 {
-		o.ProbeMax = 20 * des.Millisecond
 	}
 	if o.ProbeTries == 0 {
 		o.ProbeTries = 64
@@ -141,10 +98,6 @@ type Counters struct {
 	// ErrCrashed because no replica of some extent was reachable.
 	ReadFailovers int64
 	AllDown       int64
-	// Hedges/HedgeWins count cross-brick hedged reads (a duplicate issued
-	// against a Suspect brick's read) and the subset that answered first.
-	Hedges    int64
-	HedgeWins int64
 	// Trips counts Healthy/Suspect → Open transitions; Suspects counts
 	// entries into Suspect; Probes/ProbeFails count half-open probes.
 	Trips      int64
@@ -227,7 +180,7 @@ func build(sims []*des.Sim, send SendFunc, lat des.Time, bricks []core.Volume, o
 	for i, b := range bricks {
 		caps[i] = b.DataSectors()
 	}
-	pm, err := buildExtentMap(caps, opts.Weights, opts.Replicas, opts.ExtentSectors, opts.Headroom, opts.Seed)
+	pm, err := buildExtentMap(caps, opts.Replicas, opts.ExtentSectors, opts.Headroom, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -289,8 +242,8 @@ type request struct {
 	done   func(core.Result)
 
 	// remaining counts pieces without a logical outcome; inflight counts
-	// outstanding brick callbacks (hedge losers included). The request
-	// completes at remaining==0 and recycles at inflight==0.
+	// outstanding brick callbacks. The request completes at remaining==0
+	// and recycles at inflight==0.
 	remaining int
 	inflight  int
 	failed    bool
@@ -309,15 +262,12 @@ type piece struct {
 	within int64
 	count  int
 
-	// seq guards timer closures (hedges, retry backoff) against piece
+	// seq guards the sharded path's crossing closures against piece
 	// recycling; bumped every time the piece is re-initialized.
 	seq uint64
 
 	done  bool
 	tried [maxReplicas]bool
-	// hedgeK is the replica slot of the piece's hedge attempt (-1 when
-	// none), so a winning hedge can be credited.
-	hedgeK int8
 
 	// write fan-out state.
 	pendingAcks int8
@@ -381,7 +331,6 @@ func (p *piece) reset(ext, within int64, count int) {
 	p.seq++
 	p.ext, p.within, p.count = ext, within, count
 	p.done = false
-	p.hedgeK = -1
 	p.pendingAcks, p.okAcks = 0, 0
 	p.firstErr = nil
 	for k := range p.tried {
@@ -532,39 +481,15 @@ func (p *piece) pickReplica() int {
 	return pick
 }
 
-// startRead issues the piece's next read attempt, arming a cross-brick
-// hedge when the chosen brick is Suspect.
+// startRead issues the piece's next read attempt.
 func (p *piece) startRead() {
-	c := p.req.c
 	k := p.pickReplica()
 	if k < 0 {
 		p.fail(core.ErrCrashed)
 		return
 	}
 	p.tried[k] = true
-	l := c.pm.locOf(p.ext, k)
-	if c.opts.HedgeAfter > 0 && c.br[l.brick].state == Suspect {
-		seq := p.seq
-		c.rsim().After(c.opts.HedgeAfter, func() { p.hedge(seq) })
-	}
-	p.issue(k, l)
-}
-
-// hedge fires the cross-brick hedge timer: if the read is still pending
-// and another replica qualifies, issue a duplicate; first answer wins.
-func (p *piece) hedge(seq uint64) {
-	c := p.req.c
-	if p.seq != seq || p.done || p.req.op != core.Read {
-		return
-	}
-	k := p.pickReplica()
-	if k < 0 {
-		return
-	}
-	p.tried[k] = true
-	p.hedgeK = int8(k)
-	c.ctr.Hedges++
-	p.issue(k, c.pm.locOf(p.ext, k))
+	p.issue(k, p.req.c.pm.locOf(p.ext, k))
 }
 
 // issue routes one replica attempt over the link. The colocated path uses
@@ -612,7 +537,7 @@ func (p *piece) replicaDone(k int, r core.Result) {
 		c.noteSuccess(b, r.Done-r.Submit)
 	}
 	if p.req.op == core.Read {
-		p.readAttemptDone(k, !r.Failed, r.Err)
+		p.readAttemptDone(!r.Failed)
 	} else {
 		p.writeAckDone(b, !r.Failed, r.Err)
 	}
@@ -626,39 +551,25 @@ func (p *piece) replicaSyncErr(k int, err error) {
 	b := int(c.pm.locOf(p.ext, k).brick)
 	c.noteFailure(b, err)
 	if p.req.op == core.Read {
-		p.readAttemptDone(k, false, err)
+		p.readAttemptDone(false)
 	} else {
 		p.writeAckDone(b, false, err)
 	}
 	p.req.maybeRecycle()
 }
 
-// readAttemptDone resolves one read attempt: first success wins; a failure
-// fails over to the next replica (with optional backoff) until none
-// remain. Attempts landing after the piece completed (hedge losers, late
-// primaries) are dropped — inflight accounting already covered them.
-func (p *piece) readAttemptDone(k int, ok bool, err error) {
-	c := p.req.c
+// readAttemptDone resolves one read attempt: a success completes the
+// piece; a failure fails over to the next replica at once until none
+// remain.
+func (p *piece) readAttemptDone(ok bool) {
 	if p.done {
 		return
 	}
 	if ok {
-		if int8(k) == p.hedgeK {
-			c.ctr.HedgeWins++
-		}
 		p.succeed()
 		return
 	}
-	c.ctr.ReadFailovers++
-	if c.opts.RetryBackoff > 0 {
-		seq := p.seq
-		c.rsim().After(c.opts.RetryBackoff, func() {
-			if p.seq == seq && !p.done {
-				p.startRead()
-			}
-		})
-		return
-	}
+	p.req.c.ctr.ReadFailovers++
 	p.startRead()
 }
 
@@ -861,12 +772,12 @@ func (c *Cluster) Faults() core.FaultCounters {
 		t.RepairsQueued += f.RepairsQueued
 		t.RepairsDone += f.RepairsDone
 		t.RepairsDropped += f.RepairsDropped
+		t.Unrepairable += f.Unrepairable
 	}
 	return t
 }
 
-// Hedges sums the bricks' in-array hedge counters (cross-brick hedges are
-// in Counters).
+// Hedges sums the bricks' in-array hedge counters.
 func (c *Cluster) Hedges() core.HedgeCounters {
 	var t core.HedgeCounters
 	for _, b := range c.bs {
@@ -1006,9 +917,6 @@ func (c *Cluster) Replicas(e int64) []int {
 	}
 	return out
 }
-
-// ExtentOf maps a logical sector offset to its extent index.
-func (c *Cluster) ExtentOf(off int64) int64 { return off / c.pm.extentSectors }
 
 // CrashBrick power-fails one brick without telling the router — the
 // breaker must discover the outage from failing traffic, exactly as it

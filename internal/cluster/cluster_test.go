@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -47,11 +48,11 @@ func newTestCluster(t *testing.T, n int, opts Options) (*des.Sim, *Cluster) {
 
 func TestPlacementDistinctAndDeterministic(t *testing.T) {
 	caps := []int64{1 << 13, 1 << 13, 1 << 14, 1 << 13}
-	m1, err := buildExtentMap(caps, nil, 2, 512, 1.0/16, 7)
+	m1, err := buildExtentMap(caps, 2, 512, 1.0/16, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := buildExtentMap(caps, nil, 2, 512, 1.0/16, 7)
+	m2, err := buildExtentMap(caps, 2, 512, 1.0/16, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestPlacementDistinctAndDeterministic(t *testing.T) {
 		t.Errorf("heterogeneous weighting off: perBrick=%v (brick 2 has 2x capacity, ratio %.2f)", perBrick, ratio)
 	}
 	// Distinct seeds move placements.
-	m3, err := buildExtentMap(caps, nil, 2, 512, 1.0/16, 8)
+	m3, err := buildExtentMap(caps, 2, 512, 1.0/16, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,19 +101,13 @@ func TestPlacementDistinctAndDeterministic(t *testing.T) {
 
 func TestPlacementOptionErrors(t *testing.T) {
 	caps := []int64{1 << 13, 1 << 13}
-	if _, err := buildExtentMap(caps, nil, 3, 512, 0, 1); err == nil {
+	if _, err := buildExtentMap(caps, 3, 512, 0, 1); err == nil {
 		t.Error("3 replicas over 2 bricks accepted")
 	}
-	if _, err := buildExtentMap(caps, nil, 5, 512, 0, 1); err == nil {
+	if _, err := buildExtentMap(caps, 5, 512, 0, 1); err == nil {
 		t.Error("replicas > maxReplicas accepted")
 	}
-	if _, err := buildExtentMap(caps, []float64{1}, 1, 512, 0, 1); err == nil {
-		t.Error("short weight vector accepted")
-	}
-	if _, err := buildExtentMap(caps, []float64{1, 0}, 1, 512, 0, 1); err == nil {
-		t.Error("zero weight accepted")
-	}
-	if _, err := buildExtentMap([]int64{256}, nil, 1, 512, 0, 1); err == nil {
+	if _, err := buildExtentMap([]int64{256}, 1, 512, 0, 1); err == nil {
 		t.Error("brick smaller than one extent accepted")
 	}
 }
@@ -596,4 +591,80 @@ func TestMultiExtentRequest(t *testing.T) {
 	if got.Failed || got.Count != count {
 		t.Fatalf("multi-extent write: %+v", *got)
 	}
+}
+
+// presetBrick reports preset counters in place of its array's own.
+type presetBrick struct {
+	*core.Array
+	f core.FaultCounters
+	h core.HedgeCounters
+	s core.ShedCounters
+	r core.RecoveryCounters
+}
+
+func (b *presetBrick) Faults() core.FaultCounters      { return b.f }
+func (b *presetBrick) Hedges() core.HedgeCounters      { return b.h }
+func (b *presetBrick) Sheds() core.ShedCounters        { return b.s }
+func (b *presetBrick) Recovery() core.RecoveryCounters { return b.r }
+
+// fillDistinct sets field i of the counter struct at ptr to base+i+1.
+func fillDistinct(t *testing.T, ptr any, base int64) {
+	t.Helper()
+	v := reflect.ValueOf(ptr).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int64:
+			f.SetInt(base + int64(i) + 1)
+		case reflect.Float64:
+			f.SetFloat(float64(base + int64(i) + 1))
+		default:
+			t.Fatalf("%s.%s is %v; extend fillDistinct", v.Type(), v.Type().Field(i).Name, f.Kind())
+		}
+	}
+}
+
+// number reads an Int64 or Float64 counter field.
+func number(v reflect.Value) float64 {
+	if v.Kind() == reflect.Float64 {
+		return v.Float()
+	}
+	return float64(v.Int())
+}
+
+// TestAggregateCountersSumEveryField: every field of the cluster's summed
+// brick counters must equal the sum over the bricks, so a field added to a
+// core counter struct cannot be left out of the aggregate.
+func TestAggregateCountersSumEveryField(t *testing.T) {
+	sim := des.New()
+	bricks := make([]*presetBrick, 3)
+	vols := make([]core.Volume, len(bricks))
+	for i := range bricks {
+		b := &presetBrick{Array: newBrick(t, sim, int64(i+1))}
+		base := int64(1000 * (i + 1))
+		fillDistinct(t, &b.f, base)
+		fillDistinct(t, &b.h, base)
+		fillDistinct(t, &b.s, base)
+		fillDistinct(t, &b.r, base)
+		bricks[i], vols[i] = b, b
+	}
+	cl, err := New(sim, vols, Options{Replicas: 2, ExtentSectors: 512, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, got any, of func(b *presetBrick) any) {
+		g := reflect.ValueOf(got)
+		for i := 0; i < g.NumField(); i++ {
+			var want float64
+			for _, b := range bricks {
+				want += number(reflect.ValueOf(of(b)).Field(i))
+			}
+			if got := number(g.Field(i)); got != want {
+				t.Errorf("%s().%s = %v, want %v (the sum over bricks)", name, g.Type().Field(i).Name, got, want)
+			}
+		}
+	}
+	check("Faults", cl.Faults(), func(b *presetBrick) any { return b.f })
+	check("Hedges", cl.Hedges(), func(b *presetBrick) any { return b.h })
+	check("Sheds", cl.Sheds(), func(b *presetBrick) any { return b.s })
+	check("Recovery", cl.Recovery(), func(b *presetBrick) any { return b.r })
 }

@@ -15,7 +15,7 @@ import (
 // Rendezvous gives three properties the cluster needs at once: placement
 // is a pure function of (seed, extent) so every router instance computes
 // the same map with no coordination; heterogeneous bricks receive extents
-// in proportion to their weights (the HDA paper's capacity-proportional
+// in proportion to their capacity (the HDA paper's capacity-proportional
 // allocation); and when a brick is declared dead, each of its extents has
 // a canonical "next best" brick — the rendezvous runner-up — so
 // re-replication needs no global reshuffle.
@@ -49,7 +49,6 @@ type extentMap struct {
 	// re-replication draws from.
 	slots    []int32
 	nextSlot []int32
-	weights  []float64
 	seed     int64
 }
 
@@ -64,12 +63,13 @@ func splitmix64(x uint64) uint64 {
 }
 
 // score draws brick b's rendezvous score for extent e: -ln(u)/w, u uniform
-// in (0,1). Lower is better; the division by the weight makes the win
-// probability proportional to w (weighted rendezvous, Thaler & Ravishankar).
+// in (0,1) and w the brick's slot count. Lower is better; the division by
+// the weight makes the win probability proportional to capacity (weighted
+// rendezvous, Thaler & Ravishankar).
 func (m *extentMap) score(e int64, b int) float64 {
 	h := splitmix64(uint64(m.seed)*0x9e3779b97f4a7c15 + splitmix64(uint64(e)<<20|uint64(b)))
 	u := (float64(h>>11) + 0.5) / (1 << 53)
-	return -math.Log(u) / m.weights[b]
+	return -math.Log(u) / float64(m.slots[b])
 }
 
 // rank returns every brick ordered by rendezvous preference for extent e
@@ -100,7 +100,7 @@ func (m *extentMap) rank(e int64, dst []int) []int {
 // buildExtentMap allocates the placement for the given brick capacities
 // (in sectors). headroom in [0,1) reserves that fraction of the total slot
 // pool for post-failure re-replication.
-func buildExtentMap(capacity []int64, weights []float64, r int, extentSectors int64, headroom float64, seed int64) (*extentMap, error) {
+func buildExtentMap(capacity []int64, r int, extentSectors int64, headroom float64, seed int64) (*extentMap, error) {
 	if r < 1 || r > maxReplicas {
 		return nil, fmt.Errorf("cluster: %d replicas (want 1..%d)", r, maxReplicas)
 	}
@@ -114,7 +114,6 @@ func buildExtentMap(capacity []int64, weights []float64, r int, extentSectors in
 		extentSectors: extentSectors, r: r, seed: seed,
 		slots:    make([]int32, len(capacity)),
 		nextSlot: make([]int32, len(capacity)),
-		weights:  make([]float64, len(capacity)),
 	}
 	var total int64
 	for b, cap := range capacity {
@@ -124,18 +123,6 @@ func buildExtentMap(capacity []int64, weights []float64, r int, extentSectors in
 		}
 		m.slots[b] = int32(s)
 		total += s
-		m.weights[b] = float64(s)
-	}
-	if weights != nil {
-		if len(weights) != len(capacity) {
-			return nil, fmt.Errorf("cluster: %d weights for %d bricks", len(weights), len(capacity))
-		}
-		for b, w := range weights {
-			if w <= 0 {
-				return nil, fmt.Errorf("cluster: brick %d weight %g (want > 0)", b, w)
-			}
-			m.weights[b] = w
-		}
 	}
 	m.extents = int64(float64(total)*(1-headroom)) / int64(r)
 	if m.extents < 1 {

@@ -79,11 +79,6 @@ type Options struct {
 	// NVRAMEntries bounds the delayed-write metadata table; 0 means the
 	// prototype's 10000.
 	NVRAMEntries int
-	// IdleDelay is how long a drive's foreground queue must stay empty
-	// before background replica propagation starts (so intra-burst gaps
-	// don't trigger 5 ms propagations in front of the next request). 0
-	// means the 10 ms default; negative disables the wait.
-	IdleDelay des.Time
 	// TCQDepth enables tagged command queueing: each drive accepts up to
 	// this many commands and schedules them internally by shortest access
 	// time (firmware-grade knowledge of its own mechanics). The host policy
@@ -385,11 +380,6 @@ func New(sim *des.Sim, opts Options) (*Array, error) {
 	}
 	if opts.NVRAMEntries == 0 {
 		opts.NVRAMEntries = 10000
-	}
-	if opts.IdleDelay == 0 {
-		opts.IdleDelay = 10 * des.Millisecond
-	} else if opts.IdleDelay < 0 {
-		opts.IdleDelay = 0
 	}
 	if opts.TCQDepth > 0 && opts.Policy != "fcfs" && opts.Policy != "rfcfs" {
 		return nil, fmt.Errorf("core: TCQ delegates ordering to the drive; host policy must be fcfs or rfcfs, not %q", opts.Policy)

@@ -152,7 +152,8 @@ func (a *Array) kick(d *drive) {
 	// Background propagation waits out a short idle window so it does not
 	// start a multi-millisecond write in front of the next request of an
 	// in-progress burst.
-	if wait := d.lastActive + a.opts.IdleDelay - now; wait > 0 {
+	const idleDelay = 10 * des.Millisecond
+	if wait := d.lastActive + idleDelay - now; wait > 0 {
 		at := now + wait
 		if d.recheckAt < at {
 			d.recheckAt = at

@@ -70,9 +70,6 @@ type HealthOptions struct {
 	// constant: fast enough to catch a stutter window, slow enough to
 	// ignore one unlucky seek).
 	Alpha float64
-	// SuspectFaults marks a drive Suspect once it has surfaced this many
-	// injected faults, regardless of latency. 0 means 16.
-	SuspectFaults int64
 	// EvictFaults evicts at this many faults. 0 means 64; negative
 	// disables fault-based eviction.
 	EvictFaults int64
@@ -82,7 +79,7 @@ func (h HealthOptions) validate() error {
 	if !h.Enabled {
 		return nil
 	}
-	if h.SuspectRatio < 0 || h.Alpha < 0 || h.Alpha > 1 || h.MinSamples < 0 || h.SuspectFaults < 0 {
+	if h.SuspectRatio < 0 || h.Alpha < 0 || h.Alpha > 1 || h.MinSamples < 0 {
 		return fmt.Errorf("core: invalid health options %+v", h)
 	}
 	if sr, er := h.suspectRatio(), h.evictRatio(); er > 0 && er < sr {
@@ -118,13 +115,6 @@ func (h HealthOptions) alpha() float64 {
 		return 0.125
 	}
 	return h.Alpha
-}
-
-func (h HealthOptions) suspectFaults() int64 {
-	if h.SuspectFaults == 0 {
-		return 16
-	}
-	return h.SuspectFaults
 }
 
 // evictFaults returns the fault-count eviction threshold, <= 0 disabled.
@@ -215,7 +205,10 @@ func (a *Array) evaluateHealth(d *drive) {
 	}
 	evict := (h.evictRatio() > 0 && ratio >= h.evictRatio()) ||
 		(h.evictFaults() > 0 && d.faultCount >= h.evictFaults())
-	suspect := evict || ratio >= h.suspectRatio() || d.faultCount >= h.suspectFaults()
+	// A drive that has surfaced this many injected faults is Suspect
+	// whatever its latency.
+	const suspectFaults = 16
+	suspect := evict || ratio >= h.suspectRatio() || d.faultCount >= suspectFaults
 
 	if evict && a.canEvict() {
 		a.setHealth(d, HealthEvicted)

@@ -360,8 +360,12 @@ func (g *Gateway) admit(batch []*call) {
 		delete(g.outstanding, c)
 		resp := Response{Status: statusOf(e), Err: e.Error(), Submit: now, Done: now}
 		if errors.Is(e, core.ErrOverload) {
+			// The array shed the request: hint about an array-queue drain
+			// time at the reference drive's service rates (the bucket
+			// rejections compute their own from the refill rate).
+			const overloadRetryAfter = 2 * des.Millisecond
 			c.overload = true
-			resp.RetryAfter = g.cfg.Limits.overloadRetryAfter()
+			resp.RetryAfter = overloadRetryAfter
 		}
 		if resp.Status == StatusUnavailable {
 			// A crashed-volume rejection is retryable once a replica comes

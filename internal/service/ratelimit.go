@@ -14,16 +14,11 @@ type TenantLimit struct {
 }
 
 // Limits is the gateway's rate-limit policy: a default bucket shape with
-// per-tenant overrides, plus the Retry-After hint attached to 429s the
-// array's own admission control causes.
+// per-tenant overrides, plus the Retry-After hint attached to 503s a full
+// outage causes.
 type Limits struct {
 	Default   TenantLimit
 	PerTenant map[string]TenantLimit
-	// OverloadRetryAfter is the virtual Retry-After returned when the
-	// array sheds with ErrOverload (the bucket rejections compute their
-	// own from the refill rate). Zero means 2ms — roughly an array-queue
-	// drain time at the reference drive's service rates.
-	OverloadRetryAfter des.Time
 	// UnavailableRetryAfter is the virtual Retry-After attached to 503s
 	// caused by the volume rejecting with ErrCrashed (every replica of
 	// the requested range down). Zero means 5ms — the order of a
@@ -38,13 +33,6 @@ func (l Limits) forTenant(t string) TenantLimit {
 		return tl
 	}
 	return l.Default
-}
-
-func (l Limits) overloadRetryAfter() des.Time {
-	if l.OverloadRetryAfter > 0 {
-		return l.OverloadRetryAfter
-	}
-	return 2 * des.Millisecond
 }
 
 func (l Limits) unavailableRetryAfter() des.Time {

@@ -396,15 +396,16 @@ func PredictLatency(spec DiskSpec, cfg Config, w Workload) Time {
 }
 
 // ClusterVolume is a replicated volume over N brick arrays: extents placed
-// on R distinct bricks by weighted rendezvous hashing, read failover and
-// hedging behind per-brick circuit breakers, quorum writes with a
+// on R distinct bricks by weighted rendezvous hashing, read failover
+// behind per-brick circuit breakers, quorum writes with a
 // divergence log, and paced backfill/re-replication. It implements Volume,
 // so everything that fronts an Array (the service gateway included) fronts
 // a cluster unchanged.
 type ClusterVolume = cluster.Cluster
 
 // ClusterOptions configures a ClusterVolume (replication factor, extent
-// size, breaker thresholds, backfill pacing).
+// size, placement seed and headroom, probe budget, backfill pacing); the
+// breaker's thresholds are fixed.
 type ClusterOptions = cluster.Options
 
 // ClusterCounters is the router's own accounting: failovers, breaker
@@ -416,8 +417,8 @@ type ClusterCounters = cluster.Counters
 type BrickHealth = cluster.Health
 
 // Breaker states: a Healthy brick routes normally, a Suspect brick is
-// deprioritized and hedged, an Open brick receives no traffic while
-// half-open probes test it.
+// deprioritized (reads prefer Healthy replicas), an Open brick receives
+// no traffic while half-open probes test it.
 const (
 	BrickHealthy = cluster.Healthy
 	BrickSuspect = cluster.Suspect

@@ -4,17 +4,17 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/des"
 )
 
 // Backfill is the cluster's re-replication path: every extent replica that
 // missed writes during an outage (or was adopted empty by a survivor after
 // DeclareDead) sits in its brick's divergence log until a paced background
 // copy — read the extent from a fresh replica, write it to the stale one —
-// clears it. Pacing uses the same discipline as rebuild, scrub, and the
-// recovery scan: copies start at BackfillMBps-spaced instants on the
-// virtual clock, so backfill competes for bandwidth like any other
-// background class instead of flooding a just-recovered brick.
+// clears it. Pacing uses the des.Pacer that rebuild, scrub and the
+// recovery scan use, charged one extent per copy at BackfillMBps: each
+// copy starts one interval after the previous one settles, so backfill
+// competes for bandwidth like any other background class instead of
+// flooding a just-recovered brick.
 //
 // The log's lifecycle invariant is exact: every entry ever created
 // terminates as precisely one of backfilled or abandoned, so after the
@@ -37,12 +37,6 @@ func (c *Cluster) diverge(b int, e int64) {
 	c.ctr.Diverged++
 }
 
-// backfillInterval is the pacing gap between extent copies.
-func (c *Cluster) backfillInterval() des.Time {
-	bytes := float64(c.pm.extentSectors) * 512
-	return des.Time(bytes / c.opts.BackfillMBps) // bytes / (MB/s * 1e6) s == bytes/MBps us
-}
-
 // startBackfill begins (or resumes) brick b's paced backfill after its
 // breaker closes.
 func (c *Cluster) startBackfill(b int) {
@@ -51,11 +45,7 @@ func (c *Cluster) startBackfill(b int) {
 		return
 	}
 	st.backfillActive = true
-	now := c.rsim().Now()
-	if st.backfillNext < now {
-		st.backfillNext = now
-	}
-	c.rsim().At(st.backfillNext, func() { c.backfillStep(b) })
+	c.rsim().At(st.backfill.Ready(c.rsim().Now()), func() { c.backfillStep(b) })
 }
 
 // backfillStep copies the next pending extent onto brick b. One extent per
@@ -178,8 +168,11 @@ func (c *Cluster) paceNext(b int) {
 		st.backfillActive = false
 		return
 	}
-	st.backfillNext = c.rsim().Now() + c.backfillInterval()
-	c.rsim().At(st.backfillNext, func() { c.backfillStep(b) })
+	// Every step runs at or after the pacer's ready instant, so this charge
+	// spaces the next copy one interval from the one that just settled.
+	now := c.rsim().Now()
+	st.backfill.Take(now, c.pm.extentSectors*512, c.opts.BackfillMBps)
+	c.rsim().At(st.backfill.Ready(now), func() { c.backfillStep(b) })
 }
 
 // sourceMayReturn reports whether any replica of e other than b's sits on

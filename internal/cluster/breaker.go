@@ -96,7 +96,7 @@ type brickState struct {
 	divQ []int64
 
 	backfillActive bool
-	backfillNext   des.Time
+	backfill       des.Pacer
 }
 
 // divEntry tracks one stale extent on one brick.

@@ -106,7 +106,7 @@ type Options struct {
 	// mirrors in the background.
 	Spares int
 	// RebuildMBps caps the reconstruction bandwidth of a rebuild so
-	// foreground latency stays bounded; 0 means 8 MB/s.
+	// foreground latency stays bounded; 0 means DefaultRebuildMBps.
 	RebuildMBps float64
 
 	// Health configures the per-drive fail-slow health tracker (EWMA
@@ -410,15 +410,15 @@ func New(sim *des.Sim, opts Options) (*Array, error) {
 	if opts.RebuildMBps < 0 {
 		return nil, fmt.Errorf("core: negative rebuild bandwidth %v", opts.RebuildMBps)
 	}
-	if opts.RebuildMBps == 0 {
-		opts.RebuildMBps = 8
-	}
 	if err := opts.Scrub.validate(); err != nil {
 		return nil, err
 	}
 	if err := opts.Crash.Validate(); err != nil {
 		return nil, err
 	}
+	opts.RebuildMBps = orDefault(opts.RebuildMBps, DefaultRebuildMBps)
+	opts.Scrub.MBps = orDefault(opts.Scrub.MBps, DefaultScrubMBps)
+	opts.Crash.ScanMBps = orDefault(opts.Crash.ScanMBps, DefaultRecoveryScanMBps)
 	rng := rand.New(rand.NewSource(opts.Seed))
 
 	// Build a reference drive to size the volume.

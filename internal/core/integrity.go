@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/bus"
@@ -77,13 +76,8 @@ func (a *Array) commitVersion(chunk int64, v uint64) {
 // (chunk-granular state must not be cleared by a partial overwrite whose
 // garbage may live elsewhere in the chunk).
 func (a *Array) coversChunk(chunk, off int64, count int) bool {
-	unit := int64(a.lay.StripeUnit())
-	start := chunk * unit
-	end := start + unit
-	if ds := a.lay.DataSectors(); end > ds {
-		end = ds
-	}
-	return off <= start && off+int64(count) >= end
+	start, n := a.chunkSpan(chunk)
+	return off <= start && off+int64(count) >= start+n
 }
 
 // noteCopyWritten updates the oracle after a write of version v landed on
@@ -364,21 +358,6 @@ func (a *Array) hasRepairSource(d *drive, chunk int64, replica int) bool {
 	return false
 }
 
-// chunkPiece resolves one whole chunk to its layout piece.
-func (a *Array) chunkPiece(chunk int64) *layout.Piece {
-	unit := int64(a.lay.StripeUnit())
-	off := chunk * unit
-	count := unit
-	if rest := a.lay.DataSectors() - off; rest < count {
-		count = rest
-	}
-	pieces, err := a.lay.Resolve(off, int(count))
-	if err != nil || len(pieces) != 1 {
-		panic(fmt.Sprintf("core: chunk %d resolved to %d pieces: %v", chunk, len(pieces), err))
-	}
-	return &pieces[0]
-}
-
 // queueRepair enqueues an in-place rewrite of a detected-corrupt copy
 // through the delayed-write machinery, carrying the chunk's committed
 // content (the detecting read's failover — or the scrubber's source read
@@ -460,17 +439,14 @@ func (a *Array) InjectCorruption(n int, seed int64) int {
 	a.ensureIntegrity()
 	rng := rand.New(rand.NewSource(seed))
 	g := int64(a.opts.Config.Positions())
-	unit := int64(a.lay.StripeUnit())
-	numChunks := (a.lay.DataSectors() + unit - 1) / unit
 	injected := 0
 	for attempts := 0; injected < n && attempts < 64*(n+1); attempts++ {
 		slot := rng.Intn(len(a.drives))
-		first := int64(slot) % g
-		slotChunks := (numChunks - first + g - 1) / g
-		if slotChunks <= 0 {
+		slotChunks := a.slotChunks(slot)
+		if slotChunks == 0 {
 			continue
 		}
-		chunk := first + rng.Int63n(slotChunks)*g
+		chunk := int64(slot)%g + rng.Int63n(slotChunks)*g
 		rep := rng.Intn(a.opts.Config.Dr)
 		d := a.drives[slot]
 		if d.failed || d.unreadable(chunk) {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/bus"
 	"repro/internal/des"
 	"repro/internal/disk"
@@ -31,6 +29,9 @@ import (
 // around it (drive.missing); the rebuild copies whatever the surviving
 // mirror holds when it reaches the chunk, so writes accepted mid-rebuild
 // are never lost.
+
+// DefaultRebuildMBps paces a rebuild when Options.RebuildMBps is zero.
+const DefaultRebuildMBps = 8.0
 
 // DriveStatus classifies one drive slot's health.
 type DriveStatus int
@@ -97,8 +98,7 @@ func (a *Array) RebuildProgress() RebuildProgress {
 		return RebuildProgress{}
 	}
 	remaining := st.total - st.done - st.lost
-	unit := int64(a.lay.StripeUnit())
-	perChunk := des.Time(float64(unit*disk.SectorSize) / a.opts.RebuildMBps)
+	perChunk := des.Time(float64(a.lay.StripeUnit()*disk.SectorSize) / a.opts.RebuildMBps)
 	return RebuildProgress{
 		Active: true, Slot: st.slot,
 		Total: st.total, Done: st.done, Lost: st.lost,
@@ -124,15 +124,14 @@ type rebuildState struct {
 	total   int
 	done    int
 	lost    int
-	started des.Time
 	// activeChunk/gateHeld track write-gate ownership for cancellation;
 	// activeChunk is meaningful only while gateHeld.
 	activeChunk int64
 	gateHeld    bool
 	cancelled   bool
-	// nextAt is the earliest start time of the next chunk — the pacing
-	// that caps reconstruction bandwidth.
-	nextAt des.Time
+	// pace caps reconstruction bandwidth, charging each chunk as it
+	// starts.
+	pace des.Pacer
 }
 
 // maybeStartRebuild begins reconstructing the lowest-numbered failed slot
@@ -160,19 +159,17 @@ func (a *Array) maybeStartRebuild() {
 	a.drives[slot] = spare
 
 	// Every chunk of the slot's position is missing until reconstructed.
-	g := int64(a.opts.Config.Positions())
-	unit := int64(a.lay.StripeUnit())
-	numChunks := (a.lay.DataSectors() + unit - 1) / unit
+	pending := a.slotChunkList(slot, nil)
 	spare.missing = make(map[int64]bool)
-	var pending []int64
-	for c := int64(slot % a.opts.Config.Positions()); c < numChunks; c += g {
+	for _, c := range pending {
 		spare.missing[c] = true
-		pending = append(pending, c)
 	}
-	st := &rebuildState{
-		slot: slot, pending: pending, total: len(pending),
-		started: a.sim.Now(), activeChunk: -1, nextAt: a.sim.Now(),
-	}
+	a.beginRebuild(slot, pending)
+}
+
+// beginRebuild starts reconstructing the pending chunks onto slot.
+func (a *Array) beginRebuild(slot int, pending []int64) {
+	st := &rebuildState{slot: slot, pending: pending, total: len(pending), activeChunk: -1}
 	a.rebuild = st
 	a.faults.RebuildsStarted++
 	a.scheduleNextChunk(st)
@@ -194,18 +191,6 @@ func (a *Array) cancelRebuild() {
 	a.rebuild = nil
 }
 
-// rebuildInterval is the pacing delay the chunk's size earns at the
-// bandwidth cap.
-func (a *Array) rebuildInterval(c int64) des.Time {
-	unit := int64(a.lay.StripeUnit())
-	count := unit
-	if rest := a.lay.DataSectors() - c*unit; rest < count {
-		count = rest
-	}
-	// bytes / (MB/s) = bytes/(bytes/µs) = µs, the 1e6 factors cancel.
-	return des.Time(float64(count*disk.SectorSize) / a.opts.RebuildMBps)
-}
-
 // scheduleNextChunk starts the next pending chunk no earlier than the
 // pacing allows, or completes the rebuild.
 func (a *Array) scheduleNextChunk(st *rebuildState) {
@@ -219,12 +204,7 @@ func (a *Array) scheduleNextChunk(st *rebuildState) {
 	c := st.pending[st.next]
 	st.next++
 	now := a.sim.Now()
-	at := st.nextAt
-	if at < now {
-		at = now
-	}
-	st.nextAt = at + a.rebuildInterval(c)
-	if at > now {
+	if at := st.pace.Take(now, a.chunkBytes(c), a.opts.RebuildMBps); at > now {
 		a.sim.At(at, func() { a.startChunk(st, c) })
 		return
 	}
@@ -256,29 +236,13 @@ func (a *Array) startChunk(st *rebuildState, c int64) {
 				return
 			}
 			st.activeChunk, st.gateHeld = c, true
-			a.reconstructChunk(st, c)
+			a.readForRebuild(st, c, a.chunkPiece(c))
 		}})
 		return
 	}
 	a.writeGate[c] = nil
 	st.activeChunk, st.gateHeld = c, true
-	a.reconstructChunk(st, c)
-}
-
-// reconstructChunk resolves the chunk's layout and reads it from a
-// surviving mirror.
-func (a *Array) reconstructChunk(st *rebuildState, c int64) {
-	unit := int64(a.lay.StripeUnit())
-	off := c * unit
-	count := unit
-	if rest := a.lay.DataSectors() - off; rest < count {
-		count = rest
-	}
-	pieces, err := a.lay.Resolve(off, int(count))
-	if err != nil || len(pieces) != 1 {
-		panic(fmt.Sprintf("core: rebuild chunk %d resolved to %d pieces: %v", c, len(pieces), err))
-	}
-	a.readForRebuild(st, c, &pieces[0])
+	a.readForRebuild(st, c, a.chunkPiece(c))
 }
 
 // readForRebuild issues a background read of the chunk on the

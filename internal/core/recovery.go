@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/des"
-	"repro/internal/disk"
 )
 
 // Crash recovery. Restart after a power failure has three jobs, in order:
@@ -124,25 +123,11 @@ func (a *Array) resumeRebuild() {
 		if d.failed || len(d.missing) == 0 {
 			continue
 		}
-		g := int64(a.opts.Config.Positions())
-		unit := int64(a.lay.StripeUnit())
-		numChunks := (a.lay.DataSectors() + unit - 1) / unit
-		var pending []int64
-		for c := int64(slot % a.opts.Config.Positions()); c < numChunks; c += g {
-			if d.missing[c] && !a.lostChunks[c] {
-				pending = append(pending, c)
-			}
-		}
+		pending := a.slotChunkList(slot, func(c int64) bool { return d.missing[c] && !a.lostChunks[c] })
 		if len(pending) == 0 {
 			continue // degraded for good: everything missing is lost
 		}
-		st := &rebuildState{
-			slot: slot, pending: pending, total: len(pending),
-			started: a.sim.Now(), activeChunk: -1, nextAt: a.sim.Now(),
-		}
-		a.rebuild = st
-		a.faults.RebuildsStarted++
-		a.scheduleNextChunk(st)
+		a.beginRebuild(slot, pending)
 		return
 	}
 }
@@ -153,40 +138,30 @@ func (a *Array) resumeRebuild() {
 const recoveryScanBatch = 32
 
 // recoveryScan is one post-crash divergence walk over every (slot, chunk,
-// replica), paced like the scrubber's cursors.
+// replica) on the scrubber's copyWalk.
 type recoveryScan struct {
-	cur     []scrubCursor
-	slot    int
+	walk    copyWalk
 	done    bool
 	started des.Time
-	nextAt  des.Time
-	mbps    float64
+	// pace charges each copy as it is visited, recoveryScanBatch per
+	// event, at the array's current Crash.ScanMBps.
+	pace des.Pacer
 }
 
 // startRecoveryScan begins the divergence walk (always — both durability
 // modes scan; battery-backed recovery normally finds nothing, which is the
 // reconciliation the experiment asserts).
 func (a *Array) startRecoveryScan() {
-	mbps := a.opts.Crash.ScanMBps
-	if mbps == 0 {
-		mbps = DefaultRecoveryScanMBps
-	}
 	s := &recoveryScan{
-		cur:     make([]scrubCursor, len(a.drives)),
+		walk:    copyWalk{cur: make([]scrubCursor, len(a.drives))},
 		started: a.sim.Now(),
-		nextAt:  a.sim.Now(),
-		mbps:    mbps,
 	}
 	a.recScan = s
 	a.recScanNext(s)
 }
 
 func (a *Array) recScanNext(s *recoveryScan) {
-	at := s.nextAt
-	if now := a.sim.Now(); at < now {
-		at = now
-	}
-	a.sim.At(at, func() { a.recScanTick(s) })
+	a.sim.At(s.pace.Ready(a.sim.Now()), func() { a.recScanTick(s) })
 }
 
 func (a *Array) recScanTick(s *recoveryScan) {
@@ -206,28 +181,13 @@ func (a *Array) recScanTick(s *recoveryScan) {
 // recScanStep examines one chunk copy; false when every cursor is
 // exhausted.
 func (a *Array) recScanStep(s *recoveryScan) bool {
-	slot := -1
-	for i := 0; i < len(s.cur); i++ {
-		cand := (s.slot + i) % len(s.cur)
-		if s.cur[cand].n < a.slotChunks(cand) {
-			slot = cand
-			break
-		}
-	}
-	if slot < 0 {
+	slot, chunk, rep, ok := a.walkNext(&s.walk)
+	if !ok {
 		return false
 	}
-	cur := &s.cur[slot]
-	g := int64(a.opts.Config.Positions())
-	chunk := int64(slot%a.opts.Config.Positions()) + cur.n*g
-	rep := cur.rep
-	cur.rep++
-	if cur.rep >= a.opts.Config.Dr {
-		cur.rep = 0
-		cur.n++
-	}
-	s.slot = (slot + 1) % len(s.cur)
-	s.nextAt += a.recScanInterval(chunk)
+	// Every tick fires at the pacer's ready instant, so each Take books
+	// its copy directly behind the previous one.
+	s.pace.Take(a.sim.Now(), a.chunkBytes(chunk), a.opts.Crash.ScanMBps)
 	d := a.drives[slot]
 	if d.failed || d.unreadable(chunk) {
 		return true // gone or awaiting rebuild; nothing to reconcile here
@@ -251,17 +211,6 @@ func (a *Array) recScanStep(s *recoveryScan) bool {
 		a.queueRepair(d, chunk, rep, originRecovery)
 	}
 	return true
-}
-
-// recScanInterval is the pacing one chunk's metadata visit earns at the
-// scan bandwidth.
-func (a *Array) recScanInterval(c int64) des.Time {
-	unit := int64(a.lay.StripeUnit())
-	count := unit
-	if rest := a.lay.DataSectors() - c*unit; rest < count {
-		count = rest
-	}
-	return des.Time(float64(count*disk.SectorSize) / a.recScan.mbps)
 }
 
 // repairPending reports whether an in-place repair of (d, chunk, replica)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bus"
 	"repro/internal/des"
-	"repro/internal/disk"
 	"repro/internal/sched"
 )
 
@@ -36,8 +35,9 @@ type ScrubOptions struct {
 	// Enabled starts the scrubber at array construction (via
 	// Options.Scrub). StartScrub ignores it.
 	Enabled bool
-	// MBps caps the verify-read bandwidth per pass; 0 means
-	// DefaultScrubMBps.
+	// MBps caps the verify-read bandwidth per pass. 0 means
+	// DefaultScrubMBps in Options.Scrub, and the array's current scrub
+	// rate (Tuning.ScrubMBps) in StartScrub.
 	MBps float64
 	// Passes is how many full passes to run before the scrubber retires;
 	// 0 means 1.
@@ -90,42 +90,19 @@ type ScrubProgress struct {
 	Done, Total int64
 }
 
-// scrubCursor is one slot's scan position: copy (chunkIndex n, replica
-// rep), where the slot's n-th chunk is slot%G + n*G. Keyed by slot, not
-// drive, so a spare swapped in mid-pass inherits the cursor and nothing is
-// stranded.
-type scrubCursor struct {
-	n   int64
-	rep int
-}
-
 // scrubState is one scrubber run (possibly several passes).
 type scrubState struct {
 	opts ScrubOptions
-	// cur holds each slot's cursor; slot is the next slot to step
-	// (round-robin across slots spreads the verify load).
-	cur  []scrubCursor
-	slot int
+	walk copyWalk
 	// pass is the 0-based pass index; done retires the scrubber.
 	pass int
 	done bool
 	// passDone/passTotal count chunk copies for progress reporting.
 	passDone  int64
 	passTotal int64
-	// nextAt paces issuance to the bandwidth cap, as rebuildState does.
-	nextAt des.Time
-}
-
-// slotChunks returns how many chunks live on a slot.
-func (a *Array) slotChunks(slot int) int64 {
-	g := int64(a.opts.Config.Positions())
-	unit := int64(a.lay.StripeUnit())
-	numChunks := (a.lay.DataSectors() + unit - 1) / unit
-	first := int64(slot % a.opts.Config.Positions())
-	if first >= numChunks {
-		return 0
-	}
-	return (numChunks - first + g - 1) / g
+	// pace caps the verify-read bandwidth, charging each chunk copy as
+	// its read is issued.
+	pace des.Pacer
 }
 
 // StartScrub begins a scrubber run. It turns the integrity oracle on (a
@@ -141,14 +118,12 @@ func (a *Array) StartScrub(o ScrubOptions) error {
 	if a.scrub != nil && !a.scrub.done {
 		return fmt.Errorf("core: scrub already running")
 	}
-	if o.MBps == 0 {
-		o.MBps = DefaultScrubMBps
-	}
+	o.MBps = orDefault(o.MBps, a.opts.Scrub.MBps)
 	if o.Passes == 0 {
 		o.Passes = 1
 	}
 	a.ensureIntegrity()
-	s := &scrubState{opts: o, cur: make([]scrubCursor, len(a.drives)), nextAt: a.sim.Now()}
+	s := &scrubState{opts: o, walk: copyWalk{cur: make([]scrubCursor, len(a.drives))}}
 	for slot := range a.drives {
 		s.passTotal += a.slotChunks(slot) * int64(a.opts.Config.Dr)
 	}
@@ -171,17 +146,6 @@ func (a *Array) ScrubProgress() ScrubProgress {
 	return ScrubProgress{Active: true, Pass: s.pass + 1, Done: s.passDone, Total: s.passTotal}
 }
 
-// scrubInterval is the pacing delay one chunk's verify read earns at the
-// bandwidth cap.
-func (a *Array) scrubInterval(c int64) des.Time {
-	unit := int64(a.lay.StripeUnit())
-	count := unit
-	if rest := a.lay.DataSectors() - c*unit; rest < count {
-		count = rest
-	}
-	return des.Time(float64(count*disk.SectorSize) / a.scrub.opts.MBps)
-}
-
 // scrubNext schedules the next cursor step no earlier than the pacing
 // allows.
 func (a *Array) scrubNext() {
@@ -190,19 +154,15 @@ func (a *Array) scrubNext() {
 		return
 	}
 	now := a.sim.Now()
-	at := s.nextAt
-	if at < now {
-		at = now
-	}
-	if at > now {
+	if at := s.pace.Ready(now); at > now {
 		a.sim.At(at, func() { a.scrubTick(s) })
 		return
 	}
 	a.scrubTick(s)
 }
 
-// scrubTick advances the scan by one chunk copy: pick the next unexhausted
-// slot cursor, charge the pacing, and issue (or skip) the verify read. The
+// scrubTick advances the scan by one chunk copy: take the walk's next
+// copy, charge the pacing, and issue (or skip) the verify read. The
 // chain continues from the read's completion.
 func (a *Array) scrubTick(s *scrubState) {
 	if s.done || s != a.scrub {
@@ -214,33 +174,13 @@ func (a *Array) scrubTick(s *scrubState) {
 		a.sim.At(a.sim.Now()+throttleRecheck, func() { a.scrubTick(s) })
 		return
 	}
-	// Find the next slot with work, round-robin from s.slot.
-	slot := -1
-	for i := 0; i < len(s.cur); i++ {
-		cand := (s.slot + i) % len(s.cur)
-		if s.cur[cand].n < a.slotChunks(cand) {
-			slot = cand
-			break
-		}
-	}
-	if slot < 0 {
+	slot, chunk, rep, ok := a.walkNext(&s.walk)
+	if !ok {
 		a.scrubPassDone(s)
 		return
 	}
-	cur := &s.cur[slot]
-	g := int64(a.opts.Config.Positions())
-	chunk := int64(slot%a.opts.Config.Positions()) + cur.n*g
-	rep := cur.rep
-	// Advance: next replica of the chunk, then the slot's next chunk; the
-	// round-robin pointer moves on either way.
-	cur.rep++
-	if cur.rep >= a.opts.Config.Dr {
-		cur.rep = 0
-		cur.n++
-	}
-	s.slot = (slot + 1) % len(s.cur)
 	s.passDone++
-	s.nextAt = a.sim.Now() + a.scrubInterval(chunk)
+	s.pace.Take(a.sim.Now(), a.chunkBytes(chunk), s.opts.MBps)
 
 	d := a.drives[slot]
 	_, gated := a.writeGate[chunk]
@@ -381,10 +321,8 @@ func (a *Array) scrubPassDone(s *scrubState) {
 		s.done = true
 		return
 	}
-	for i := range s.cur {
-		s.cur[i] = scrubCursor{}
-	}
-	s.slot = 0
+	clear(s.walk.cur)
+	s.walk.slot = 0
 	s.passDone = 0
 	a.scrubNext()
 }

@@ -12,7 +12,8 @@ import (
 // background work. Each field keeps the semantics of its Options
 // counterpart (0 selects the documented default / adaptive mode); setters
 // validate exactly like New, so a live array can never be tuned into a
-// configuration construction would have rejected.
+// configuration construction would have rejected. Array.Tuning reports
+// the background rates in effect, never 0.
 type Tuning struct {
 	// HedgeAfter is the hedged-read delay (Options.HedgeAfter): 0 means
 	// adaptive p99-derived, positive pins it. Ignored unless hedging was
@@ -21,8 +22,8 @@ type Tuning struct {
 	// MaxQueueDepth is the admission-control shed depth
 	// (Options.MaxQueueDepth); 0 disables shedding.
 	MaxQueueDepth int
-	// RebuildMBps paces hot-spare reconstruction; 0 restores the default
-	// 8 MB/s.
+	// RebuildMBps paces hot-spare reconstruction — an active rebuild
+	// re-paces from its next chunk. 0 means DefaultRebuildMBps.
 	RebuildMBps float64
 	// ScrubMBps paces the background scrubber — the active pass re-paces
 	// from its next chunk, and future StartScrub calls with MBps 0 inherit
@@ -33,7 +34,8 @@ type Tuning struct {
 	RecoveryScanMBps float64
 }
 
-// Tuning snapshots the array's current actuator settings. The returned
+// Tuning snapshots the array's current actuator settings: the configured
+// rates, or an active scrub pass's own rate while one runs. The returned
 // value round-trips through SetTuning unchanged.
 func (a *Array) Tuning() Tuning {
 	t := Tuning{
@@ -45,9 +47,6 @@ func (a *Array) Tuning() Tuning {
 	}
 	if s := a.scrub; s != nil && !s.done {
 		t.ScrubMBps = s.opts.MBps
-	}
-	if s := a.recScan; s != nil && !s.done {
-		t.RecoveryScanMBps = s.mbps
 	}
 	return t
 }
@@ -69,25 +68,19 @@ func (a *Array) SetTuning(t Tuning) error {
 	}
 	a.opts.HedgeAfter = t.HedgeAfter
 	a.opts.MaxQueueDepth = t.MaxQueueDepth
-	a.opts.RebuildMBps = t.RebuildMBps
-	if a.opts.RebuildMBps == 0 {
-		a.opts.RebuildMBps = 8 // New's default
-	}
-	a.opts.Scrub.MBps = t.ScrubMBps
+	a.opts.RebuildMBps = orDefault(t.RebuildMBps, DefaultRebuildMBps)
+	a.opts.Scrub.MBps = orDefault(t.ScrubMBps, DefaultScrubMBps)
 	if s := a.scrub; s != nil && !s.done {
-		mbps := t.ScrubMBps
-		if mbps == 0 {
-			mbps = DefaultScrubMBps
-		}
-		s.opts.MBps = mbps
+		s.opts.MBps = a.opts.Scrub.MBps
 	}
-	a.opts.Crash.ScanMBps = t.RecoveryScanMBps
-	if s := a.recScan; s != nil && !s.done {
-		mbps := t.RecoveryScanMBps
-		if mbps == 0 {
-			mbps = DefaultRecoveryScanMBps
-		}
-		s.mbps = mbps
-	}
+	a.opts.Crash.ScanMBps = orDefault(t.RecoveryScanMBps, DefaultRecoveryScanMBps)
 	return nil
+}
+
+// orDefault resolves a background rate: 0 selects def.
+func orDefault(mbps, def float64) float64 {
+	if mbps == 0 {
+		return def
+	}
+	return mbps
 }

@@ -95,10 +95,6 @@ func Figure6(c Config, workloadName string) (*Figure, error) {
 	return f, nil
 }
 
-func replayMeanChecked(cfg layout.Config, tr *trace.Trace, seed int64) (des.Time, bool, error) {
-	return replayMean(cfg, policyFor(cfg), tr, seed, nil)
-}
-
 // Figure7 sweeps the SR-Array aspect ratio at fixed disk counts for a
 // Cello workload, marking what the model recommends (paper Figure 7).
 func Figure7(c Config, workloadName string) (*Figure, error) {

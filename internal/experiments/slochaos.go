@@ -88,7 +88,6 @@ type sloGatewayRes struct {
 	rep     *service.LoadReport
 	stats   service.Stats
 	state   slo.State
-	tuning  core.Tuning
 	tiers   [slo.NumTiers]sloTierTotals
 	skipped int
 	digest  string
@@ -156,7 +155,6 @@ func runSLOGateway(spec sloGatewaySpec, on bool) (*sloGatewayRes, error) {
 		return nil, fmt.Errorf("experiments: %d tenants aborted on transport errors", rep.Aborted)
 	}
 	res.state = ctl.State()
-	res.tuning = a.Tuning()
 	for i, t := range rep.PerTenant {
 		tt := &res.tiers[sloTierOf(i)]
 		tt.issued += t.Issued

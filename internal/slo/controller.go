@@ -252,9 +252,9 @@ func (c *Controller) apply() {
 	t := c.base
 	if c.level >= DegradeBackground {
 		floor := c.opts.Actuators.backgroundMBps()
-		t.RebuildMBps = clampMBps(c.base.RebuildMBps, floor, 8)
-		t.ScrubMBps = clampMBps(c.base.ScrubMBps, floor, core.DefaultScrubMBps)
-		t.RecoveryScanMBps = clampMBps(c.base.RecoveryScanMBps, floor, core.DefaultRecoveryScanMBps)
+		t.RebuildMBps = min(c.base.RebuildMBps, floor)
+		t.ScrubMBps = min(c.base.ScrubMBps, floor)
+		t.RecoveryScanMBps = min(c.base.RecoveryScanMBps, floor)
 		if ha := c.opts.Actuators.HedgeAfter; ha > 0 {
 			t.HedgeAfter = ha
 		}
@@ -274,19 +274,6 @@ func (c *Controller) apply() {
 		// Every field is a clamp of values SetTuning already accepted.
 		panic(fmt.Sprintf("slo: apply rejected: %v", err))
 	}
-}
-
-// clampMBps lowers a configured pacing rate to floor. A configured 0
-// means "the default def at next start", so it clamps as def does.
-func clampMBps(configured, floor, def float64) float64 {
-	cur := configured
-	if cur == 0 {
-		cur = def
-	}
-	if cur < floor {
-		return cur
-	}
-	return floor
 }
 
 // TierCounters is the per-tier slice of a State snapshot. MeanUS and

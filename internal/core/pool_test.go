@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -84,6 +86,156 @@ func TestPoolPoisoningAliasRegression(t *testing.T) {
 	poisoned := poolStressRun(t)
 	if clean != poisoned {
 		t.Fatalf("pool poisoning changed the simulation:\nclean:    %s\npoisoned: %s", clean, poisoned)
+	}
+}
+
+// oracleStressRun is poolStressRun with the integrity oracle on, as it is on
+// every crash-enabled brick: a RAID-10 array with one spare, Crash.Enabled
+// and VerifyReads, latent, corrupt and torn draws on top of an injected
+// latent-error population, a scrub pass, a drive fail-stop with rebuild onto
+// the spare, and one Crash/Recover cycle pulled while a write copy of the
+// array's mode sits queued (in foreground mode that fails a write through
+// crashFG). Clients that submit into the outage retry after a backoff. The
+// digest covers everything observable.
+func oracleStressRun(t *testing.T, durability NVRAMDurability, foreground bool) string {
+	t.Helper()
+	sim, a := crashArray(t, durability, func(o *Options) {
+		o.Spares = 1
+		o.VerifyReads = true
+		o.ForegroundWrites = foreground
+		o.NVRAMEntries = 32
+		o.Faults = disk.FaultModel{TransientRate: 0.02, LatentRate: 0.002, CorruptRate: 0.002, TornRate: 0.002}
+	})
+	if n := a.InjectCorruption(24, 5); n != 24 {
+		t.Fatalf("injected %d latent errors, want 24", n)
+	}
+	if err := a.StartScrub(ScrubOptions{MBps: 64}); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(14))
+	const total, clients = 4000, 8
+	issued, finished, failed, refused := 0, 0, 0, 0
+	var latSum des.Time
+	wantCrash := false
+	var issue func()
+	var submit func(op Op, off int64, count int)
+	onDone := func(r Result) {
+		finished++
+		if r.Failed {
+			failed++
+		}
+		latSum += r.Latency()
+		issue()
+	}
+	submit = func(op Op, off int64, count int) {
+		if err := a.Submit(op, off, count, false, onDone); err != nil {
+			if !errors.Is(err, ErrCrashed) {
+				t.Fatalf("submit: %v", err)
+			}
+			refused++
+			sim.At(sim.Now()+des.Millisecond, func() { submit(op, off, count) })
+		}
+	}
+	n := a.DataSectors() - 512
+	issue = func() {
+		if issued >= total {
+			return
+		}
+		issued++
+		op, count := Read, 8+rng.Intn(56)
+		if rng.Float64() < 0.4 {
+			op = Write
+		}
+		if rng.Float64() < 0.1 {
+			count = 200 + rng.Intn(300) // spans chunks
+		}
+		submit(op, rng.Int63n(n), count)
+		switch issued {
+		case total / 4:
+			if err := a.FailDrive(1); err != nil {
+				t.Fatalf("FailDrive: %v", err)
+			}
+		case total / 2:
+			wantCrash = true
+		}
+	}
+	kind := tagFirstWrite
+	if foreground {
+		kind = tagFGWrite
+	}
+	writeQueued := func() bool {
+		for _, d := range a.drives {
+			for _, req := range d.queue {
+				if req.Tag.(*reqTag).kind == kind {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for i := 0; i < clients; i++ {
+		issue()
+	}
+	for finished < total {
+		if !sim.Step() {
+			t.Fatalf("stalled at %d/%d", finished, total)
+		}
+		if wantCrash && writeQueued() {
+			wantCrash = false
+			if err := a.Crash(); err != nil {
+				t.Fatal(err)
+			}
+			sim.At(sim.Now()+20*des.Millisecond, func() {
+				if err := a.Recover(); err != nil {
+					t.Fatalf("Recover: %v", err)
+				}
+			})
+		}
+	}
+	if !a.Drain(des.Hour) {
+		t.Fatal("array never drained")
+	}
+	f, sc, rec := a.Faults(), a.ScrubCounters(), a.Recovery()
+	owed := rec.LostDelayed + rec.Adopted // propagations the crash caught
+	if rec.Crashes != 1 || rec.Recoveries != 1 || f.VerifyDetected == 0 || sc.Passes == 0 || f.RebuildsDone == 0 || (owed == 0) != foreground {
+		t.Fatalf("crashes=%d recoveries=%d detected=%d scrub passes=%d rebuilds=%d owed=%d: the run missed a path it exists to cover",
+			rec.Crashes, rec.Recoveries, f.VerifyDetected, sc.Passes, f.RebuildsDone, owed)
+	}
+	return fmt.Sprintf("finished=%d failed=%d refused=%d lat=%v now=%v faults=%+v scrub=%+v recovery=%+v rebuilt=%v divergent=%d corrupt=%d",
+		finished, failed, refused, latSum, sim.Now(), f, sc, rec, a.RebuildProgress(), a.DivergentCopies(), a.CorruptCopies())
+}
+
+// TestPoolPoisoningOracleOn is TestPoolPoisoningAliasRegression with the
+// integrity oracle on, in both write modes and both NVRAM durability modes:
+// verify-on-read repairs, scrub and recovery-scan repairs, the rebuild and
+// the crash sweeps must hold no recycled request. Each leg's digest is also
+// pinned, so a change that moves the simulation shows up here too.
+func TestPoolPoisoningOracleOn(t *testing.T) {
+	for _, leg := range []struct {
+		durability NVRAMDurability
+		foreground bool
+		want       string // fnv-64a of the digest
+	}{
+		// Foreground writes keep no NVRAM table, so durability cannot
+		// matter to them.
+		{Volatile, true, "8cc23dee0e2b1371"},
+		{BatteryBacked, true, "8cc23dee0e2b1371"},
+		{Volatile, false, "16cf0d837d00ccf0"},
+		{BatteryBacked, false, "5082348048178904"},
+	} {
+		t.Run(fmt.Sprintf("%v/foreground=%v", leg.durability, leg.foreground), func(t *testing.T) {
+			clean := oracleStressRun(t, leg.durability, leg.foreground)
+			defer SetPoolPoisoning(SetPoolPoisoning(true))
+			poisoned := oracleStressRun(t, leg.durability, leg.foreground)
+			if clean != poisoned {
+				t.Fatalf("pool poisoning changed the simulation:\nclean:    %s\npoisoned: %s", clean, poisoned)
+			}
+			h := fnv.New64a()
+			h.Write([]byte(clean))
+			if got := fmt.Sprintf("%016x", h.Sum64()); got != leg.want {
+				t.Fatalf("digest hash %s, want %s; digest:\n%s", got, leg.want, clean)
+			}
+		})
 	}
 }
 

@@ -126,15 +126,23 @@ func TestBigArrayBatchPrimesSameLoad(t *testing.T) {
 // release — and requires byte-identical output to the unpoisoned run. Any
 // read of a stale pooled object surfaces as a panic or a diverged figure.
 // Figure 12 is read-only; Figure 6 replays the Cello trace through
-// delayed-mode writes, whose requests recycle too.
+// delayed-mode writes, whose requests recycle too. The fault-tolerance
+// experiments run at the golden test's scale with the integrity oracle on
+// in their bricks (crash injection, corruption, scrubbing); fail-slow runs
+// at its default scale, where hedges win, lose and are cancelled.
 func TestPoolPoisoningPreservesFigures(t *testing.T) {
 	cfg := Config{TraceIOs: 600, IometerIOs: 300, Seed: 1}
+	golden := Config{TraceIOs: 600, IometerIOs: 200, Seed: 1}
 	for _, fig := range []struct {
 		name string
 		run  func() (*Figure, error)
 	}{
 		{"fig12", func() (*Figure, error) { return Figure12(cfg) }},
 		{"fig6-cello-base", func() (*Figure, error) { return Figure6(cfg, "cello-base") }},
+		{"chaos", func() (*Figure, error) { return Chaos(golden) }},
+		{"scrub", func() (*Figure, error) { return Scrub(golden) }},
+		{"brick-loss", func() (*Figure, error) { return BrickLoss(golden) }},
+		{"fail-slow", func() (*Figure, error) { return FailSlow(Config{IometerIOs: 2500, Seed: 1}) }},
 	} {
 		t.Run(fig.name, func(t *testing.T) {
 			clean, err := fig.run()

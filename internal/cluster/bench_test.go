@@ -42,24 +42,53 @@ func runOne(tb testing.TB, sim *des.Sim, v core.Volume, off int64, done func(cor
 // TestRouterZeroAllocHealthyPath is the CI guard for the pooled hot path:
 // after warmup, a read through the cluster router must allocate no more
 // than the same read submitted straight to a brick — the router itself
-// adds zero allocations per op.
+// adds zero allocations per op, colocated or sharded (where each replica
+// attempt crosses to the brick's shard and back).
 func TestRouterZeroAllocHealthyPath(t *testing.T) {
-	sim, cl := benchCluster(t)
+	t.Run("colocated", func(t *testing.T) {
+		sim, cl := benchCluster(t)
+		routerAllocs(t, cl, func(v core.Volume, off int64, done func(core.Result)) {
+			runOne(t, sim, v, off, done)
+		})
+	})
+	t.Run("sharded", func(t *testing.T) {
+		sh, cl := newShardedCluster(t, 3, 1, Options{Replicas: 2})
+		var (
+			vol  core.Volume
+			off  int64
+			done func(core.Result)
+		)
+		submit := func() {
+			if err := vol.Submit(core.Read, off, 8, false, done); err != nil {
+				t.Fatalf("submit: %v", err)
+			}
+		}
+		routerAllocs(t, cl, func(v core.Volume, o int64, d func(core.Result)) {
+			// Submit from an event on the volume's own shard: the engine
+			// delivers only crossings sent by running events.
+			vol, off, done = v, o, d
+			v.Sim().At(v.Sim().Now(), submit)
+			sh.Run()
+		})
+	})
+}
+
+// routerAllocs warms cl, then fails the test if a read through it
+// allocates more than the same read submitted to brick 0. run submits one
+// read to a volume and drives it to completion.
+func routerAllocs(t *testing.T, cl *Cluster, run func(v core.Volume, off int64, done func(core.Result))) {
 	nop := func(core.Result) {}
 	for i := int64(0); i < 200; i++ { // warm pools, caches, and EWMAs
-		runOne(t, sim, cl, (i*37)%(cl.DataSectors()-8), nop)
+		run(cl, (i*37)%(cl.DataSectors()-8), nop)
 	}
-	direct := cl.Brick(0)
-	var off int64
-	clusterAllocs := testing.AllocsPerRun(100, func() {
-		runOne(t, sim, cl, off, nop)
-		off = (off + 37) % (cl.DataSectors() - 8)
-	})
-	off = 0
-	directAllocs := testing.AllocsPerRun(100, func() {
-		runOne(t, sim, direct, off, nop)
-		off = (off + 37) % (direct.DataSectors() - 8)
-	})
+	measure := func(v core.Volume) float64 {
+		var off int64
+		return testing.AllocsPerRun(100, func() {
+			run(v, off, nop)
+			off = (off + 37) % (v.DataSectors() - 8)
+		})
+	}
+	clusterAllocs, directAllocs := measure(cl), measure(cl.Brick(0))
 	if clusterAllocs > directAllocs {
 		t.Fatalf("healthy-path router adds allocations: cluster %.2f/op vs direct %.2f/op",
 			clusterAllocs, directAllocs)

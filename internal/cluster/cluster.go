@@ -262,10 +262,6 @@ type piece struct {
 	within int64
 	count  int
 
-	// seq guards the sharded path's crossing closures against piece
-	// recycling; bumped every time the piece is re-initialized.
-	seq uint64
-
 	done  bool
 	tried [maxReplicas]bool
 
@@ -274,10 +270,55 @@ type piece struct {
 	okAcks      int8
 	firstErr    error
 
-	// repDone[k] is the cached completion closure for replica slot k —
-	// created once per pooled piece, so the healthy path allocates
-	// nothing.
+	// hops[k] records replica slot k's attempt. Its closures — repDone[k]
+	// in the colocated topology, the hop's crossings in the sharded one —
+	// are built once per pooled piece, so the healthy path allocates
+	// nothing in either topology. A slot carries at most one attempt per
+	// piece life (reads mark it tried, writes issue each target once), and
+	// a piece recycles only once every attempt has landed, so nothing can
+	// reach a slot's closures from a previous life.
 	repDone [maxReplicas]func(core.Result)
+	hops    [maxReplicas]hop
+}
+
+// hop is one replica attempt: where issue sent it, and in the sharded
+// topology its crossing to the brick's shard and back. The router shard
+// writes off and b before sending toBrick; the brick shard writes res
+// before sending toRouter. The engine's epoch barrier orders each write
+// before the other shard's read.
+type hop struct {
+	off int64 // brick offset of the attempt
+	b   int   // brick the attempt went to, fixed at issue time
+	res core.Result
+
+	toBrick   func()            // on the brick's shard: submit to brick b
+	brickDone func(core.Result) // brick b's completion: store res, cross back
+	toRouter  func()            // on the router shard: land res
+}
+
+// init wires piece p of request r: its back-pointer and the cached
+// closures of every replica slot.
+func (p *piece) init(r *request) {
+	p.req = r
+	c := r.c
+	for k := 0; k < maxReplicas; k++ {
+		k := k
+		if c.send == nil {
+			p.repDone[k] = func(res core.Result) { p.replicaDone(k, res) }
+			continue
+		}
+		h := &p.hops[k]
+		h.toBrick = func() {
+			if err := c.bs[h.b].Submit(p.req.op, h.off, p.count, p.req.async, h.brickDone); err != nil {
+				h.brickDone(core.Result{Failed: true, Err: err})
+			}
+		}
+		h.brickDone = func(res core.Result) {
+			h.res = res
+			c.send(1+h.b, 0, c.sims[1+h.b].Now()+c.lat, h.toRouter)
+		}
+		h.toRouter = func() { p.replicaDone(k, h.res) }
+	}
 }
 
 func (c *Cluster) getReq() *request {
@@ -289,12 +330,7 @@ func (c *Cluster) getReq() *request {
 	}
 	r = &request{c: c}
 	for i := range r.pieces {
-		p := &r.pieces[i]
-		p.req = r
-		for k := 0; k < maxReplicas; k++ {
-			k := k
-			p.repDone[k] = func(res core.Result) { p.replicaDone(k, res) }
-		}
+		r.pieces[i].init(r)
 	}
 	return r
 }
@@ -318,17 +354,12 @@ func (r *request) newPiece(i int) *piece {
 	}
 	p := &r.extra[i-inlinePieces]
 	if p.req == nil {
-		p.req = r
-		for k := 0; k < maxReplicas; k++ {
-			k := k
-			p.repDone[k] = func(res core.Result) { p.replicaDone(k, res) }
-		}
+		p.init(r)
 	}
 	return p
 }
 
 func (p *piece) reset(ext, within int64, count int) {
-	p.seq++
 	p.ext, p.within, p.count = ext, within, count
 	p.done = false
 	p.pendingAcks, p.okAcks = 0, 0
@@ -492,68 +523,41 @@ func (p *piece) startRead() {
 	p.issue(k, p.req.c.pm.locOf(p.ext, k))
 }
 
-// issue routes one replica attempt over the link. The colocated path uses
-// the piece's cached closure (zero allocations); the sharded path wraps
-// the crossing in per-attempt closures, guarded by seq against recycling.
+// issue routes one replica attempt over the link through slot k's cached
+// closures: the colocated path submits with repDone[k], the sharded path
+// sends hops[k].toBrick. Neither allocates.
 func (p *piece) issue(k int, l replicaLoc) {
 	c := p.req.c
-	b := int(l.brick)
-	off := c.pm.brickOff(l, p.within)
+	h := &p.hops[k]
+	h.off, h.b = c.pm.brickOff(l, p.within), int(l.brick)
 	p.req.inflight++
-	if c.send == nil {
-		if err := c.bs[b].Submit(p.req.op, off, p.count, p.req.async, p.repDone[k]); err != nil {
-			p.replicaSyncErr(k, err)
-		}
+	if c.send != nil {
+		c.send(0, 1+h.b, c.rsim().Now()+c.lat, h.toBrick)
 		return
 	}
-	seq := p.seq
-	brick, bsim := c.bs[b], c.sims[1+b]
-	c.send(0, 1+b, c.rsim().Now()+c.lat, func() {
-		err := brick.Submit(p.req.op, off, p.count, p.req.async, func(r core.Result) {
-			c.send(1+b, 0, bsim.Now()+c.lat, func() {
-				if p.seq == seq {
-					p.replicaDone(k, r)
-				}
-			})
-		})
-		if err != nil {
-			c.send(1+b, 0, bsim.Now()+c.lat, func() {
-				if p.seq == seq {
-					p.replicaSyncErr(k, err)
-				}
-			})
-		}
-	})
+	if err := c.bs[h.b].Submit(p.req.op, h.off, p.count, p.req.async, p.repDone[k]); err != nil {
+		p.replicaDone(k, core.Result{Failed: true, Err: err})
+	}
 }
 
-// replicaDone lands one brick completion on the router shard.
+// replicaDone lands one brick completion (or synchronous rejection) on the
+// router shard. The breaker hears about the brick the attempt went to:
+// DeclareDead may have re-placed slot k on another brick since.
 func (p *piece) replicaDone(k int, r core.Result) {
 	c := p.req.c
+	if p.req.inflight == 0 {
+		panic("cluster: replica completion with no attempt in flight")
+	}
 	p.req.inflight--
-	b := int(c.pm.locOf(p.ext, k).brick)
 	if r.Failed {
-		c.noteFailure(b, r.Err)
+		c.noteFailure(p.hops[k].b, r.Err)
 	} else {
-		c.noteSuccess(b, r.Done-r.Submit)
+		c.noteSuccess(p.hops[k].b, r.Done-r.Submit)
 	}
 	if p.req.op == core.Read {
 		p.readAttemptDone(!r.Failed)
 	} else {
-		p.writeAckDone(b, !r.Failed, r.Err)
-	}
-	p.req.maybeRecycle()
-}
-
-// replicaSyncErr lands a synchronous brick rejection on the router shard.
-func (p *piece) replicaSyncErr(k int, err error) {
-	c := p.req.c
-	p.req.inflight--
-	b := int(c.pm.locOf(p.ext, k).brick)
-	c.noteFailure(b, err)
-	if p.req.op == core.Read {
-		p.readAttemptDone(false)
-	} else {
-		p.writeAckDone(b, false, err)
+		p.writeAckDone(k, !r.Failed, r.Err)
 	}
 	p.req.maybeRecycle()
 }
@@ -613,15 +617,17 @@ func (p *piece) startWrite() {
 	}
 }
 
-// writeAckDone retires one replica ack. A failed replica diverges (the
-// write may not have reached its media); the piece succeeds if any
-// replica acked.
-func (p *piece) writeAckDone(b int, ok bool, err error) {
+// writeAckDone retires slot k's ack. A failed replica diverges (the write
+// may not have reached its media) on whichever brick holds slot k now; the
+// piece succeeds if any replica acked.
+func (p *piece) writeAckDone(k int, ok bool, err error) {
 	c := p.req.c
 	if ok {
 		p.okAcks++
 	} else {
-		c.diverge(b, p.ext)
+		if l := c.pm.locOf(p.ext, k); l.brick >= 0 {
+			c.diverge(int(l.brick), p.ext)
+		}
 		if p.firstErr == nil {
 			p.firstErr = err
 		}

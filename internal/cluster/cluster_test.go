@@ -33,17 +33,22 @@ func newTestCluster(t *testing.T, n int, opts Options) (*des.Sim, *Cluster) {
 	for i := range bricks {
 		bricks[i] = newBrick(t, sim, int64(i+1))
 	}
+	c, err := New(sim, bricks, testOptions(opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sim, c
+}
+
+// testOptions fills the test clusters' extent size and placement seed.
+func testOptions(opts Options) Options {
 	if opts.ExtentSectors == 0 {
 		opts.ExtentSectors = 512
 	}
 	if opts.Seed == 0 {
 		opts.Seed = 42
 	}
-	c, err := New(sim, bricks, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sim, c
+	return opts
 }
 
 func TestPlacementDistinctAndDeterministic(t *testing.T) {

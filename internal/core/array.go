@@ -649,13 +649,9 @@ func (a *Array) Submit(op Op, off int64, count int, async bool, done func(Result
 	ur.submit = a.sim.Now()
 	ur.done = done
 	ur.remaining = len(pieces)
-	// The resolved extents outlive the request's completion in two cases,
-	// which fall back to the garbage collector: a hedged read can leave its
-	// duplicate in flight past the primary's completion; and with the
-	// integrity oracle on, repair machinery is kept conservative. Delayed-mode
-	// writes recycle like everything else: their propagation copies own the
-	// extents they write (registerPropagation).
-	ur.noRecycle = a.opts.Hedge || a.integrity
+	// The request recycles at its last completion (pool.go's lifetime
+	// rules). The one exception is a request a hedge duplicate was issued
+	// for: fireHedge marks it noRecycle.
 	ur.held = true
 	for i := range pieces {
 		p := &pieces[i]
@@ -887,8 +883,7 @@ type userRequest struct {
 	mergeBuf []layout.Piece
 	lastAt   []int // position -> merge index, reset each use
 
-	pooled    bool // came from the free list; eligible for putUR
-	noRecycle bool // extents outlive completion; leave to the GC
+	noRecycle bool // a hedge duplicate reads the pieces after completion; leave to the GC
 	held      bool // a frame is still reading the pieces; unhold recycles
 	free      bool
 	next      *userRequest
@@ -918,7 +913,7 @@ func (ur *userRequest) pieceDone() {
 	// frame still points at it. A frame that holds the request (Submit's
 	// pieces loop, the delayed-mode first-copy completion) recycles it in
 	// unhold instead.
-	if ur.pooled && !ur.noRecycle && !ur.held {
+	if !ur.noRecycle && !ur.held {
 		ur.a.putUR(ur)
 	}
 }
@@ -927,7 +922,7 @@ func (ur *userRequest) pieceDone() {
 // meanwhile.
 func (ur *userRequest) unhold() {
 	ur.held = false
-	if ur.remaining == 0 && ur.pooled && !ur.noRecycle {
+	if ur.remaining == 0 && !ur.noRecycle {
 		ur.a.putUR(ur)
 	}
 }

@@ -233,7 +233,7 @@ func (a *Array) submitWriteGated(ur *userRequest, p *layout.Piece) {
 	// scheduler on whichever drive claims it picks the cheapest replica.
 	var g *dupGroup
 	if len(live) > 1 {
-		g = &dupGroup{}
+		g = newDupGroup()
 	}
 	for _, id := range live {
 		d := a.drives[id]

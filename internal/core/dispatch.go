@@ -85,11 +85,19 @@ type reqTag struct {
 type dupGroup struct {
 	claimed bool
 	members []dupMember
+	// inline backs members, so a duplicated read allocates only its group.
+	inline [maxPoolReplicas]dupMember
 }
 
 type dupMember struct {
 	d   *drive
 	req *sched.Request
+}
+
+func newDupGroup() *dupGroup {
+	g := &dupGroup{}
+	g.members = g.inline[:0]
+	return g
 }
 
 // enqueue inserts a request into a drive's foreground queue and tries to
@@ -550,7 +558,7 @@ func (a *Array) submitRead(ur *userRequest, p *layout.Piece) {
 		}
 		return
 	}
-	g := &dupGroup{}
+	g := newDupGroup()
 	for _, c := range cands {
 		req := a.mkReadReq(ur, p, c, g, hc)
 		g.members = append(g.members, dupMember{c.d, req})

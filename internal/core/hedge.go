@@ -223,6 +223,9 @@ func (a *Array) fireHedge(hc *hedgeCtl) {
 		},
 		onFail: func() { hc.hedgeFail() },
 	}
+	// From here the piece has two readers, and the loser reads it after the
+	// winner completed it: keep the request's arena out of the pool.
+	hc.ur.noRecycle = true
 	hc.hedgeLive = true
 	hc.hedgeReq = req
 	hc.hedgeDrive = best

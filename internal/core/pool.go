@@ -30,11 +30,14 @@ package core
 //     pieceDone leaves the recycle to that frame's unhold: Submit's pieces
 //     loop, and the delayed-mode first-copy completion, whose callback
 //     usually resubmits — which would pop this very request and resolve over
-//     the piece registerPropagation and releaseWriteGate read next. Two
-//     array-wide reasons still set noRecycle and fall back to the garbage
-//     collector: Options.Hedge (a hedged read can leave its duplicate in
-//     flight past completion) and the integrity oracle (its repair machinery
-//     resolves chunks independently but stays conservative).
+//     the piece registerPropagation and releaseWriteGate read next. One
+//     reason still sets noRecycle and leaves a request to the garbage
+//     collector: a hedge duplicate was issued (fireHedge). Whichever of
+//     primary and hedge loses reads the piece before it learns the race is
+//     settled. The integrity oracle does not opt out: verify-on-read
+//     failover reads the piece while it is still live, repairs, scrub and
+//     the recovery scan resolve chunks through chunkPiece, and the crash
+//     sweeps fail only live pieces.
 //   - Double releases panic via the free flag rather than corrupting the
 //     list.
 //
@@ -327,7 +330,7 @@ func (a *Array) putRun(r *extentRun) {
 func (a *Array) getUR() *userRequest {
 	ur := a.freeURs
 	if ur == nil {
-		return &userRequest{a: a, pooled: true}
+		return &userRequest{a: a}
 	}
 	a.freeURs = ur.next
 	ur.next = nil

@@ -13,7 +13,11 @@
 # stay under FIG6_ALLOC_CAP allocs/op (default 100000; it measures about
 # 69600, and 162500 with delayed-mode writes unpooled) — a regression here
 # means a request, extent-run, or completion object stopped being
-# recycled. Third, the array layer on its own: a delayed-mode write in
+# recycled — and the chaos experiment (crash-enabled, scrubbing bricks,
+# where the integrity oracle is on) under CHAOS_ALLOC_CAP (default
+# 23150000, 1.1x its 21.04M; 21.13M while the oracle kept requests out of
+# the pool; 99% of what is left is the scrubber resolving chunks). Third,
+# the array layer on its own: a delayed-mode write in
 # BenchmarkArrayClosedLoop must report at most 1 allocs/op (go test prints
 # whole numbers: it measures 1.1, its live-mirror slice, and 11 when the
 # write's request, arena or copies stop recycling). BENCHTIME overrides the
@@ -37,17 +41,25 @@ if [ "${1:-}" = "guard" ]; then
             }
         }
         END { exit bad }'
-    fig6=$(go test -run '^$' -bench 'BenchmarkFigure6CelloBase$' -benchtime 1x -benchmem .)
-    echo "$fig6"
-    echo "$fig6" | tr '\t' ' ' | awk -v cap="${FIG6_ALLOC_CAP:-100000}" '
-        /BenchmarkFigure6CelloBase/ {
+    e2e=$(go test -run '^$' -bench 'BenchmarkFigure6CelloBase$|BenchmarkChaos$' -benchtime 1x -benchmem .)
+    echo "$e2e"
+    echo "$e2e" | tr '\t' ' ' | awk -v fig6cap="${FIG6_ALLOC_CAP:-100000}" -v chaoscap="${CHAOS_ALLOC_CAP:-23150000}" '
+        /^BenchmarkFigure6CelloBase/ { name = "Figure6 pooled request path"; cap = fig6cap }
+        /^BenchmarkChaos/ { name = "Chaos with the integrity oracle on"; cap = chaoscap }
+        /^Benchmark(Figure6CelloBase|Chaos)/ {
             for (i = 1; i <= NF; i++) if ($(i+1) == "allocs/op") {
+                seen++
                 if ($i + 0 > cap) {
-                    printf "FAIL: Figure6 pooled request path allocates %d allocs/op (cap %d)\n", $i, cap
-                    exit 1
+                    printf "FAIL: %s allocates %d allocs/op (cap %d)\n", name, $i, cap
+                    bad = 1
+                } else {
+                    printf "%s: %d allocs/op (cap %d): ok\n", name, $i, cap
                 }
-                printf "Figure6 pooled request path: %d allocs/op (cap %d): ok\n", $i, cap
             }
+        }
+        END {
+            if (seen != 2) { print "FAIL: missing a BenchmarkFigure6CelloBase or BenchmarkChaos result"; exit 1 }
+            exit bad
         }'
     arr=$(go test -run '^$' -bench 'BenchmarkArrayClosedLoop' -benchtime 20000x -benchmem ./internal/core/)
     echo "$arr"
@@ -62,7 +74,7 @@ if [ "${1:-}" = "guard" ]; then
             }
         }
         END { if (!seen) { print "FAIL: no BenchmarkArrayClosedLoop/write-delayed result"; exit 1 } }'
-    echo "guard: hot paths allocation-free with metrics disabled; pooled request path and delayed-mode writes under their alloc caps"
+    echo "guard: hot paths allocation-free with metrics disabled; pooled request path, chaos and delayed-mode writes under their alloc caps"
     exit 0
 fi
 

@@ -9,9 +9,10 @@
 package tracegen
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/des"
 	"repro/internal/disk"
@@ -46,7 +47,10 @@ type Params struct {
 	// BurstMean is the mean number of requests per arrival burst (file
 	// system operations touch several blocks at once and the sync daemon
 	// flushes batches, so real traces arrive in clumps). 1 disables
-	// clustering; the long-run rate is preserved either way.
+	// clustering. Burst epochs come at MeanIOPS/BurstMean, but the offered
+	// rate still falls short of MeanIOPS: BurstCycle's thinning drops
+	// epochs, and a burst that outlives the next epoch delays it (see
+	// EXPERIMENTS.md, Table 3).
 	BurstMean float64
 	// BurstGap is the mean intra-burst inter-arrival time.
 	BurstGap des.Time
@@ -172,8 +176,14 @@ func Generate(p Params) *trace.Trace {
 	// plain multiplicative update oscillates.
 	meanStar := float64(p.DataSectors) / (3 * p.Locality)
 	prevP, prevM := -1.0, 0.0
+	// Every I/O a pass draws lies within one request size of the volume.
+	largest := int64(8) // pickSize's size when Sizes is empty
+	for _, s := range p.Sizes {
+		largest = max(largest, int64(s.Sectors))
+	}
+	lastWrite := trace.NewLastWrite(min(0, p.DataSectors-largest), p.DataSectors+largest)
 	for iter := 0; iter < 12; iter++ {
-		tr = generateOnce(p, 1-punif, pRaw, wDiv)
+		tr = generateOnce(p, 1-punif, pRaw, wDiv, lastWrite)
 		s := tr.ComputeStats()
 		okL := s.SeekLocality == 0 || relWithin(s.SeekLocality, p.Locality, 0.10)
 		okRaw := p.RAWFrac == 0 || relWithin(s.RAWFrac, p.RAWFrac, 0.15)
@@ -265,34 +275,21 @@ func clampF(v, lo, hi float64) float64 {
 
 // generateOnce is a single synthesis pass with explicit locality, RAW,
 // and window knobs.
-func generateOnce(p Params, pl, pRaw, wDiv float64) *trace.Trace {
+func generateOnce(p Params, pl, pRaw, wDiv float64, lastWrite *trace.LastWrite) *trace.Trace {
 	rng := rand.New(rand.NewSource(p.Seed))
 	t := &trace.Trace{Name: p.Name, DataSectors: p.DataSectors}
+	t.Records = make([]trace.Record, 0, max(int(p.Duration.Seconds()*p.MeanIOPS), 0))
 	n := float64(p.DataSectors)
 	w := n / wDiv
 
 	var recents []recentWrite
-	// writeBuckets tracks when each RAW-granularity bucket was last
-	// written (at its disk-visible flush time). The generator uses it to
-	// model the file-system buffer cache: a read of a freshly written
-	// block is a cache hit and never reaches the disk, which is why real
-	// below-cache traces show only a few percent read-after-write despite
-	// heavy write locality.
-	writeBuckets := make(map[int64]des.Time)
-	const rawGrain = 16
-	noteWrite := func(off int64, cnt int, at des.Time) {
-		for b := off / rawGrain; b <= (off+int64(cnt)-1)/rawGrain; b++ {
-			writeBuckets[b] = at
-		}
-	}
-	recentlyWritten := func(off, size int64, now des.Time) bool {
-		for b := off / rawGrain; b <= (off+size-1)/rawGrain; b++ {
-			if t, ok := writeBuckets[b]; ok && now-t <= trace.RAWWindow {
-				return true
-			}
-		}
-		return false
-	}
+	// lastWrite tracks when each read-after-write bucket was last written
+	// (at its disk-visible flush time). The generator uses it to model the
+	// file-system buffer cache: a read of a freshly written block is a
+	// cache hit and never reaches the disk, which is why real below-cache
+	// traces show only a few percent read-after-write despite heavy write
+	// locality.
+	lastWrite.Reset()
 	var recentIO []int64
 	recentIONext := 0
 	noteIO := func(off int64) {
@@ -349,8 +346,10 @@ func generateOnce(p Params, pl, pRaw, wDiv float64) *trace.Trace {
 			burstAt += des.Time(rng.ExpFloat64() * float64(burstGap))
 			now = burstAt
 		} else {
-			// Next burst epoch: Poisson at rate/burstMean (thinned under
-			// the slow modulation) so the long-run request rate stays
+			// Next burst epoch: Poisson at rate/burstMean, thinned under
+			// the slow modulation. Thinning keeps an epoch with mean
+			// probability 1/(1+BurstAmp) and the epoch rate is not raised
+			// to make up for it, so the long-run request rate stays below
 			// MeanIOPS. The epoch clock advances independently of how long
 			// the previous burst ran.
 			rate := p.MeanIOPS / 1e6 // per microsecond
@@ -386,7 +385,7 @@ func generateOnce(p Params, pl, pRaw, wDiv float64) *trace.Trace {
 			// Working-set re-reference: reread a recently *read* block,
 			// skipping candidates that overlap a recent write so the
 			// explicitly calibrated RAW knob stays in control.
-			if off, ok := pickReuse(rng, recentIO, recentlyWritten, int64(size), p.DataSectors, now); ok {
+			if off, ok := pickReuse(rng, recentIO, lastWrite, size, p.DataSectors, now); ok {
 				rec.Off = off
 				t.Records = append(t.Records, rec)
 				cur = rec.Off
@@ -395,7 +394,7 @@ func generateOnce(p Params, pl, pRaw, wDiv float64) *trace.Trace {
 		}
 		if isRead && pRaw > 0 && len(recents) > 0 && rng.Float64() < pRaw {
 			// Read-after-write: revisit a write from the last hour.
-			pruneRecents(&recents, now)
+			recents = pruneRecents(recents, now)
 			if len(recents) > 0 {
 				rw := recents[rng.Intn(len(recents))]
 				rec.Off = rw.off
@@ -430,7 +429,7 @@ func generateOnce(p Params, pl, pRaw, wDiv float64) *trace.Trace {
 			if pos > p.DataSectors-int64(maxSize) {
 				pos = p.DataSectors - int64(maxSize)
 			}
-			if !isRead || try >= 4 || !recentlyWritten(pos, int64(size), now) {
+			if !isRead || try >= 4 || !lastWrite.Recent(pos, size, now) {
 				cur = cand
 				if cur < 0 {
 					cur = -cur
@@ -447,9 +446,12 @@ func generateOnce(p Params, pl, pRaw, wDiv float64) *trace.Trace {
 			if rng.Float64() < p.AsyncFrac/(1-p.ReadFrac) {
 				rec.Async = true
 			}
+			if n := len(recents); n > 0 && rec.At < recents[n-1].at {
+				panic("tracegen: clock ran backwards; pruneRecents needs recents in time order")
+			}
 			recents = append(recents, recentWrite{off: rec.Off, cnt: rec.Count, at: rec.At})
 			if len(recents) > 16384 {
-				pruneRecents(&recents, now)
+				recents = pruneRecents(recents, now)
 				if len(recents) > 16384 {
 					recents = recents[len(recents)-16384:]
 				}
@@ -459,11 +461,11 @@ func generateOnce(p Params, pl, pRaw, wDiv float64) *trace.Trace {
 				// target keeps the chain position it was dirtied at, so
 				// the daemon's bursts stay as local as the foreground
 				// stream.
-				noteWrite(rec.Off, rec.Count, nextFlush)
+				lastWrite.Note(rec.Off, rec.Count, nextFlush)
 				flushBuf = append(flushBuf, rec)
 				continue
 			}
-			noteWrite(rec.Off, rec.Count, rec.At)
+			lastWrite.Note(rec.Off, rec.Count, rec.At)
 		}
 		t.Records = append(t.Records, rec)
 		if isRead {
@@ -476,7 +478,7 @@ func generateOnce(p Params, pl, pRaw, wDiv float64) *trace.Trace {
 	emitFlushes(p.Duration)
 	// Daemon flush bursts can overlap the foreground stream in time;
 	// restore global time order.
-	sort.SliceStable(t.Records, func(i, j int) bool { return t.Records[i].At < t.Records[j].At })
+	slices.SortStableFunc(t.Records, func(a, b trace.Record) int { return cmp.Compare(a.At, b.At) })
 	return t
 }
 
@@ -498,19 +500,20 @@ func pickSize(rng *rand.Rand, sizes []SizePoint) int {
 	return sizes[len(sizes)-1].Sectors
 }
 
-func pruneRecents(rs *[]recentWrite, now des.Time) {
-	keep := (*rs)[:0]
-	for _, r := range *rs {
-		if now-r.at <= trace.RAWWindow {
-			keep = append(keep, r)
-		}
+// pruneRecents drops the writes older than trace.RAWWindow. recents is
+// appended in the order of the generator's clock, which never runs
+// backwards, so the expired entries are always a prefix.
+func pruneRecents(rs []recentWrite, now des.Time) []recentWrite {
+	i := 0
+	for i < len(rs) && now-rs[i].at > trace.RAWWindow {
+		i++
 	}
-	*rs = keep
+	return rs[i:]
 }
 
 // pickReuse draws a reusable read offset that does not overlap any
 // still-recent write (a few retries, then give up).
-func pickReuse(rng *rand.Rand, pool []int64, written func(off, size int64, now des.Time) bool, size, volume int64, now des.Time) (int64, bool) {
+func pickReuse(rng *rand.Rand, pool []int64, written *trace.LastWrite, size int, volume int64, now des.Time) (int64, bool) {
 	// Re-reference distances follow a heavy-tailed, recency-weighted
 	// distribution (an LRU stack-depth curve): most rereads are of very
 	// recent blocks, but a tail reaches deep into history — which is what
@@ -522,10 +525,10 @@ func pickReuse(rng *rand.Rand, pool []int64, written func(off, size int64, now d
 			age = len(pool) - 1
 		}
 		off := pool[len(pool)-1-age]
-		if off > volume-size {
-			off = volume - size
+		if off > volume-int64(size) {
+			off = volume - int64(size)
 		}
-		if !written(off, size, now) {
+		if !written.Recent(off, size, now) {
 			return off, true
 		}
 	}

@@ -1,6 +1,7 @@
 package tracegen
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -87,25 +88,57 @@ func TestDeterministicGeneration(t *testing.T) {
 	}
 }
 
+// TestRecordsInBoundsAndOrdered checks the generator's output invariants
+// over seeds 1-10 of each profile, one subtest per seed so that every
+// failing seed is reported. Cello runs 3 h, so writes age out of the
+// one-hour read-after-write window and pruneRecents drops expired
+// prefixes; TPC-C's 10 min overflows the 16 384-write cap instead. The
+// generator panics if a write's dirtied time runs backwards, the order
+// that prefix prune relies on; a panic fails the seed's subtest.
 func TestRecordsInBoundsAndOrdered(t *testing.T) {
-	for _, p := range []Params{CelloBase(4), CelloDisk6(5), TPCC(6)} {
-		tr := Generate(p.WithDuration(20 * des.Minute))
-		prev := des.Time(-1)
-		for i, r := range tr.Records {
-			if r.At < prev {
-				t.Fatalf("%s: record %d out of order", p.Name, i)
-			}
-			prev = r.At
-			if r.Off < 0 || r.Off+int64(r.Count) > tr.DataSectors {
-				t.Fatalf("%s: record %d out of bounds: off=%d count=%d", p.Name, i, r.Off, r.Count)
-			}
-			if r.Count < 1 {
-				t.Fatalf("%s: record %d empty", p.Name, i)
-			}
-			if r.Async && !r.Write {
-				t.Fatalf("%s: async read at %d", p.Name, i)
-			}
+	for _, c := range []struct {
+		profile func(int64) Params
+		d       des.Time
+	}{
+		{CelloBase, 3 * des.Hour},
+		{CelloDisk6, 3 * des.Hour},
+		{TPCC, 10 * des.Minute},
+	} {
+		for seed := int64(1); seed <= 10; seed++ {
+			p := c.profile(seed).WithDuration(c.d)
+			t.Run(fmt.Sprintf("%s/seed=%d", p.Name, seed), func(t *testing.T) {
+				t.Parallel()
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("Generate panicked: %v", r)
+					}
+				}()
+				checkRecords(t, Generate(p))
+			})
 		}
+	}
+}
+
+// checkRecords reports the first record that breaks time order or the
+// volume's bounds, or is empty, or is an async read.
+func checkRecords(t *testing.T, tr *trace.Trace) {
+	t.Helper()
+	prev := des.Time(-1)
+	for i, r := range tr.Records {
+		switch {
+		case r.At < prev:
+			t.Errorf("record %d out of order: %v after %v", i, r.At, prev)
+		case r.Off < 0 || r.Off+int64(r.Count) > tr.DataSectors:
+			t.Errorf("record %d out of bounds: off=%d count=%d", i, r.Off, r.Count)
+		case r.Count < 1:
+			t.Errorf("record %d empty", i)
+		case r.Async && !r.Write:
+			t.Errorf("async read at %d", i)
+		default:
+			prev = r.At
+			continue
+		}
+		return
 	}
 }
 
@@ -127,5 +160,29 @@ func TestVolumeSizesMatchPaper(t *testing.T) {
 	}
 	if got := TPCC(0).DataSectors * 512; got < int64(8.9e9) || got > int64(9.1e9) {
 		t.Errorf("tpcc volume %d bytes, want ~9.0GB", got)
+	}
+}
+
+// benchTrace keeps BenchmarkGenerate's result live.
+var benchTrace *trace.Trace
+
+// BenchmarkGenerate times whole syntheses, retune passes included: the
+// cello-base day the repository's benchmark replays, and a TPC-C 20-minute
+// trace, whose read-after-write share is the highest of the three
+// profiles. scripts/bench.sh guard caps its allocs/op.
+func BenchmarkGenerate(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		p    Params
+	}{
+		{"cello-base-24h", CelloBase(1).WithDuration(24 * des.Hour)},
+		{"tpcc-20m", TPCC(6).WithDuration(20 * des.Minute)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchTrace = Generate(c.p)
+			}
+		})
 	}
 }

@@ -20,8 +20,12 @@
 # the array layer on its own: a delayed-mode write in
 # BenchmarkArrayClosedLoop must report at most 1 allocs/op (go test prints
 # whole numbers: it measures 1.1, its live-mirror slice, and 11 when the
-# write's request, arena or copies stop recycling). BENCHTIME overrides the
-# first gate's -benchtime (default 10000x).
+# write's request, arena or copies stop recycling). Fourth, trace
+# synthesis: one BenchmarkGenerate run, retune passes included, must stay
+# under 955 allocs/op for the cello-base day (1.1x its 867; 9150 while the
+# read-after-write bucket tables were hash maps) and 210 for TPC-C's
+# 20 minutes (1.1x its 190) — a map back on the per-pass path trips it.
+# BENCHTIME overrides the first gate's -benchtime (default 10000x).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -74,7 +78,27 @@ if [ "${1:-}" = "guard" ]; then
             }
         }
         END { if (!seen) { print "FAIL: no BenchmarkArrayClosedLoop/write-delayed result"; exit 1 } }'
-    echo "guard: hot paths allocation-free with metrics disabled; pooled request path, chaos and delayed-mode writes under their alloc caps"
+    gen=$(go test -run '^$' -bench 'BenchmarkGenerate' -benchtime 1x -benchmem ./internal/tracegen/)
+    echo "$gen"
+    echo "$gen" | tr '\t' ' ' | awk '
+        /^BenchmarkGenerate\/cello-base-24h/ { cap = 955 }
+        /^BenchmarkGenerate\/tpcc-20m/ { cap = 210 }
+        /^BenchmarkGenerate\// {
+            for (i = 1; i <= NF; i++) if ($(i+1) == "allocs/op") {
+                seen++
+                if ($i + 0 > cap) {
+                    printf "FAIL: %s allocates %d allocs/op (cap %d)\n", $1, $i, cap
+                    bad = 1
+                } else {
+                    printf "%s: %d allocs/op (cap %d): ok\n", $1, $i, cap
+                }
+            }
+        }
+        END {
+            if (seen != 2) { print "FAIL: missing a BenchmarkGenerate result"; exit 1 }
+            exit bad
+        }'
+    echo "guard: hot paths allocation-free with metrics disabled; pooled request path, chaos, delayed-mode writes and trace synthesis under their alloc caps"
     exit 0
 fi
 

@@ -68,10 +68,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: mimdraid -exp <name>|all   (or -list)")
 		os.Exit(2)
 	}
-	cfg := experiments.Config{TraceIOs: *traceIOs, IometerIOs: *iometerIOs, Seed: *seed}
-	experiments.Format = *format
+	cfg := experiments.Config{TraceIOs: *traceIOs, IometerIOs: *iometerIOs, Seed: *seed, Format: *format}
 	if *jsonOut {
-		experiments.Format = "json"
+		cfg.Format = "json"
 	}
 
 	// Metrics or trace output needs a registry attached to every array the

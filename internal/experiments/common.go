@@ -41,6 +41,10 @@ type Config struct {
 	// IometerIOs is the number of I/Os per micro (closed-loop) data point.
 	IometerIOs int
 	Seed       int64
+	// Format selects the rendering: "table" (also the zero value), "csv",
+	// or "json" (the machine-readable `{figure, series, points, metrics}`
+	// form; table-shaped experiments wrap their text as `{figure, text}`).
+	Format string
 }
 
 // Default returns the fast configuration used by tests and benches.

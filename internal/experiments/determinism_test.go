@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -189,25 +192,63 @@ func TestObservabilityDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestJSONFormatRunners: every registered experiment name renders valid
-// JSON in json format (figures as documents, tables wrapped as text).
+// TestJSONFormatRunners: each format renders both kinds of experiment.
+// In json, every experiment is one valid document (figures as documents,
+// tables wrapped as text). In csv, a figure is "#" header lines plus one
+// row per series, a quoted label followed by numbers; a table has no csv
+// form and renders as its text.
 func TestJSONFormatRunners(t *testing.T) {
-	prevFormat := Format
-	Format = "json"
-	defer func() { Format = prevFormat }()
-	// A fast config: this test checks rendering, not physics.
-	cfg := Config{TraceIOs: 200, IometerIOs: 120, Seed: 1}
-	for _, name := range []string{"degraded-rebuild", "table1", "section2.5"} {
-		out, err := Run(name, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	for _, format := range []string{"json", "csv"} {
+		// A fast config: this test checks rendering, not physics.
+		cfg := Config{TraceIOs: 200, IometerIOs: 120, Seed: 1, Format: format}
+		for _, name := range []string{"degraded-rebuild", "table1", "section2.5"} {
+			out, err := Run(name, cfg)
+			if err != nil {
+				t.Fatalf("%s %s: %v", format, name, err)
+			}
+			switch {
+			case format == "json":
+				var doc map[string]interface{}
+				if err := json.Unmarshal([]byte(out), &doc); err != nil {
+					t.Fatalf("%s: json format produced invalid JSON: %v", name, err)
+				}
+				if fig, _ := doc["figure"].(string); fig == "" {
+					t.Fatalf("%s: figure field missing in %q", name, out)
+				}
+			case name == "table1":
+				if want := Table1().String(); out != want {
+					t.Fatalf("table1: csv format gave %q, want the table text", out)
+				}
+			default:
+				checkCSV(t, name, out)
+			}
 		}
-		var doc map[string]interface{}
-		if err := json.Unmarshal([]byte(out), &doc); err != nil {
-			t.Fatalf("%s: json format produced invalid JSON: %v", name, err)
+	}
+}
+
+func checkCSV(t *testing.T, name, out string) {
+	t.Helper()
+	if !strings.HasPrefix(out, "# ") {
+		t.Fatalf("%s: csv lacks its header: %q", name, out)
+	}
+	r := csv.NewReader(strings.NewReader(out))
+	r.Comment = '#'
+	r.FieldsPerRecord = -1
+	rows, err := r.ReadAll()
+	if err != nil {
+		t.Fatalf("%s: csv does not parse: %v", name, err)
+	}
+	if len(rows) == 0 {
+		t.Fatalf("%s: csv has no series: %q", name, out)
+	}
+	for _, row := range rows {
+		if row[0] == "" || len(row)%2 != 1 {
+			t.Fatalf("%s: malformed csv row %q", name, row)
 		}
-		if fig, _ := doc["figure"].(string); fig == "" {
-			t.Fatalf("%s: figure field missing in %q", name, out)
+		for _, f := range row[1:] {
+			if _, err := strconv.ParseFloat(f, 64); err != nil {
+				t.Fatalf("%s: csv row %q: %v", name, row, err)
+			}
 		}
 	}
 }

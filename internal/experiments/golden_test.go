@@ -18,14 +18,10 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/cluster_golden.j
 // every RNG draw, event order and tally where it was.
 func TestClusterExperimentsGolden(t *testing.T) {
 	const path = "testdata/cluster_golden.json"
-	prev := Format
-	Format = "json"
-	defer func() { Format = prev }()
-
 	got := map[string]json.RawMessage{}
 	for _, name := range []string{"bigarray", "chaos", "slo-chaos", "brick-loss", "degraded-rebuild", "fail-slow", "scrub"} {
 		for _, seed := range []int64{1, 2} {
-			out, err := Run(name, Config{TraceIOs: 600, IometerIOs: 200, Seed: seed})
+			out, err := Run(name, Config{TraceIOs: 600, IometerIOs: 200, Seed: seed, Format: "json"})
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", name, seed, err)
 			}

@@ -9,10 +9,6 @@ import (
 // Runner executes one named experiment and returns its rendered text.
 type Runner func(Config) (string, error)
 
-// Format selects the rendering used by figRunner: "table", "csv", or
-// "json" (the machine-readable `{figure, series, points, metrics}` form).
-var Format = "table"
-
 // Registry maps experiment names (as used by `mimdraid -exp`) to runners.
 var Registry = map[string]Runner{
 	"table1": textRunner("table1", func(Config) (string, error) { return Table1().String(), nil }),
@@ -75,7 +71,7 @@ func figRunner(f func(Config) (*Figure, error)) Runner {
 		if err != nil {
 			return "", err
 		}
-		switch Format {
+		switch c.Format {
 		case "csv":
 			return fig.CSV(), nil
 		case "json":
@@ -92,7 +88,7 @@ func figRunner(f func(Config) (*Figure, error)) Runner {
 func textRunner(name string, f Runner) Runner {
 	return func(c Config) (string, error) {
 		out, err := f(c)
-		if err != nil || Format != "json" {
+		if err != nil || c.Format != "json" {
 			return out, err
 		}
 		b, err := json.MarshalIndent(struct {

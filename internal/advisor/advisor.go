@@ -125,9 +125,6 @@ func (m *Monitor) Observe(o Observation) {
 	m.queue.add(float64(o.QueueDepth))
 }
 
-// N returns the number of observations ingested.
-func (m *Monitor) N() int64 { return m.n }
-
 // Ready reports whether enough observations exist for stable estimates.
 func (m *Monitor) Ready() bool { return m.n >= 200 }
 

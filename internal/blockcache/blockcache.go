@@ -127,70 +127,3 @@ func (ca *CachedArray) Submit(op core.Op, off int64, count int, async bool, done
 	}
 	return ca.A.Submit(op, off, count, async, done)
 }
-
-// SubmitBatch mirrors core.Array.SubmitBatch through the cache: hits are
-// answered from memory, and the misses of the whole batch reach the array
-// as one batch — each touched drive schedules once against all of them.
-// Cache state updates in submission order, exactly as the equivalent
-// sequence of Submit calls would. The returned count includes operations
-// answered by the cache; the first array error stops the batch.
-func (ca *CachedArray) SubmitBatch(ops []core.BatchOp) (int, error) {
-	miss := make([]core.BatchOp, 0, len(ops))
-	n := 0
-	var batchErr error
-	for i := range ops {
-		o := &ops[i]
-		if o.Count < 1 {
-			batchErr = fmt.Errorf("blockcache: non-positive count")
-			break
-		}
-		first := o.Off / BlockSectors
-		last := (o.Off + int64(o.Count) - 1) / BlockSectors
-		if o.Op == core.Read {
-			all := true
-			for b := first; b <= last; b++ {
-				if !ca.Cache.Touch(b) {
-					all = false
-				}
-			}
-			if all {
-				submit := ca.A.Sim().Now()
-				op, off, count, async, done := o.Op, o.Off, o.Count, o.Async, o.Done
-				ca.A.Sim().After(ca.HitTime, func() {
-					if done != nil {
-						done(core.Result{Op: op, Off: off, Count: count, Async: async, Submit: submit, Done: ca.A.Sim().Now()})
-					}
-				})
-				n++
-				continue
-			}
-			done := o.Done
-			miss = append(miss, core.BatchOp{
-				Op: o.Op, Off: o.Off, Count: o.Count, Async: o.Async,
-				Done: func(r core.Result) {
-					for b := first; b <= last; b++ {
-						ca.Cache.Insert(b)
-					}
-					if done != nil {
-						done(r)
-					}
-				},
-			})
-			n++
-			continue
-		}
-		for b := first; b <= last; b++ {
-			ca.Cache.Insert(b)
-		}
-		miss = append(miss, *o)
-		n++
-	}
-	sent, err := ca.A.SubmitBatch(miss)
-	if err != nil && batchErr == nil {
-		batchErr = err
-		// Operations the array rejected were counted optimistically above;
-		// give the caller the number that actually went somewhere.
-		n -= len(miss) - sent
-	}
-	return n, batchErr
-}

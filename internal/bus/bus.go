@@ -292,18 +292,10 @@ func NewPrototype(sim *des.Sim, dsk *disk.Disk, noise NoiseModel, seed int64) *D
 	}
 }
 
-// Prototype reports whether the drive hides its mechanics behind noise.
-func (d *Drive) Prototype() bool { return d.noise != nil }
-
 // Geometry exposes the drive's layout. The real prototype obtained this via
 // Worthington-style extraction (see calib.ExtractGeometry, which recovers
 // it from timing probes); the array layer consumes it directly.
 func (d *Drive) Geometry() *disk.Geometry { return d.dsk.Geom }
-
-// Disk exposes the full mechanical model. Only simulator-mode components
-// and validation code may call this; prototype-mode scheduling must go
-// through a calibrated estimator.
-func (d *Drive) Disk() *disk.Disk { return d.dsk }
 
 // ArmState returns the last known arm position. The host can track this in
 // both modes because it chooses every target; rotational position is what

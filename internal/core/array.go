@@ -355,12 +355,11 @@ type drive struct {
 
 	// Fail-slow health tracking (see health.go). ewmaUS smooths the
 	// drive's clean foreground service times; healthN counts the samples
-	// behind it; faultCount counts injected faults the drive surfaced;
-	// health is the tracked state. All zero when tracking is disabled.
-	ewmaUS     float64
-	healthN    int64
-	faultCount int64
-	health     HealthState
+	// behind it; health is the tracked state. All zero when tracking is
+	// disabled.
+	ewmaUS  float64
+	healthN int64
+	health  HealthState
 }
 
 // New builds the array, its simulated drives, and (in prototype mode)
@@ -597,9 +596,6 @@ func (a *Array) DelayedLen(i int) int { return len(a.drives[i].delayed) }
 
 // NVRAMUsed returns the number of live delayed-write table entries.
 func (a *Array) NVRAMUsed() int { return a.nvramUsed }
-
-// BusyTime returns the cumulative busy time of drive i.
-func (a *Array) BusyTime(i int) des.Time { return a.drives[i].bus.BusyTime }
 
 // Commands returns the number of media commands drive i has executed.
 func (a *Array) Commands(i int) int64 { return a.drives[i].bus.Commands }

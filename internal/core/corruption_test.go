@@ -332,7 +332,7 @@ func TestScrubRebuildEvictionCompose(t *testing.T) {
 		o.Spares = 1
 		o.RebuildMBps = 100
 		o.Faults = slowDrive0()
-		o.Health = HealthOptions{Enabled: true, MinSamples: 16, Alpha: 0.25, EvictRatio: 2.5, EvictFaults: -1}
+		o.Health = HealthOptions{Enabled: true, EvictRatio: 2.5}
 		o.VerifyReads = true
 	})
 	injected := a.InjectCorruption(24, 7)

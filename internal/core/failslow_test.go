@@ -60,7 +60,7 @@ func TestHealthSuspectDetection(t *testing.T) {
 	sim, a := newArray(t, layout.RAID10(4), "rsatf", func(o *Options) {
 		o.DataSectors = 1 << 15
 		o.Faults = slowDrive0()
-		o.Health = HealthOptions{Enabled: true, MinSamples: 16, Alpha: 0.25, EvictRatio: -1, EvictFaults: -1}
+		o.Health = HealthOptions{Enabled: true, EvictRatio: -1}
 	})
 	closedLoopReads(t, sim, a, 600, 4, 9)
 	if got := a.DriveHealth(0); got != HealthSuspect {
@@ -88,7 +88,7 @@ func TestHealthEvictionIntoSpare(t *testing.T) {
 		o.Spares = 1
 		o.RebuildMBps = 100
 		o.Faults = slowDrive0()
-		o.Health = HealthOptions{Enabled: true, MinSamples: 16, Alpha: 0.25, EvictRatio: 2.5, EvictFaults: -1}
+		o.Health = HealthOptions{Enabled: true, EvictRatio: 2.5}
 	})
 	served, failed := closedLoopReads(t, sim, a, 600, 4, 9)
 	if failed != 0 || served != 600 {
@@ -126,7 +126,7 @@ func TestHealthEvictionRequiresSpare(t *testing.T) {
 	sim, a := newArray(t, layout.RAID10(4), "rsatf", func(o *Options) {
 		o.DataSectors = 1 << 15
 		o.Faults = slowDrive0()
-		o.Health = HealthOptions{Enabled: true, MinSamples: 16, Alpha: 0.25, EvictRatio: 2.5, EvictFaults: -1}
+		o.Health = HealthOptions{Enabled: true, EvictRatio: 2.5}
 	})
 	closedLoopReads(t, sim, a, 600, 4, 9)
 	if a.Faults().Evictions != 0 {
@@ -384,8 +384,7 @@ func TestFailSlowOptionValidation(t *testing.T) {
 		func(o *Options) { o.HedgeAfter = -des.Millisecond },
 		func(o *Options) { o.MaxQueueDepth = -1 },
 		func(o *Options) { o.ReadDeadline = -des.Second },
-		func(o *Options) { o.Health = HealthOptions{Enabled: true, Alpha: 2} },
-		func(o *Options) { o.Health = HealthOptions{Enabled: true, SuspectRatio: 3, EvictRatio: 2} },
+		func(o *Options) { o.Health = HealthOptions{Enabled: true, EvictRatio: 1.5} },
 		func(o *Options) { o.Faults = disk.FaultModel{Slow: map[int]disk.SlowProfile{9: {Factor: 4}}} },
 		func(o *Options) { o.Faults = disk.FaultModel{Slow: map[int]disk.SlowProfile{0: {Factor: 0.2}}} },
 	}

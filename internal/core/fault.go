@@ -81,9 +81,6 @@ func (a *Array) noteFault(d *drive, k disk.FaultKind) {
 	if d.rec != nil {
 		d.rec.Fault(k)
 	}
-	if a.opts.Health.Enabled {
-		a.healthFault(d)
-	}
 }
 
 // noteCorruption tallies the silent-corruption injections one clean

@@ -14,8 +14,7 @@ import (
 // latency while every fail-stop detector stays silent. The tracker smooths
 // each drive's clean foreground service times with an EWMA, compares it
 // against the array median (its peers see the same workload, so the median
-// is the healthy baseline), folds in the injected-fault counters from the
-// retry/failover layer, and walks each drive through
+// is the healthy baseline), and walks each drive through
 //
 //	Healthy -> Suspect -> Evicted
 //
@@ -34,8 +33,8 @@ type HealthState int
 const (
 	// HealthHealthy tracks near the array median.
 	HealthHealthy HealthState = iota
-	// HealthSuspect is persistently slower than its peers (or surfacing
-	// faults) and is deprioritized as a read target.
+	// HealthSuspect is persistently slower than its peers and is
+	// deprioritized as a read target.
 	HealthSuspect
 	// HealthEvicted was proactively fail-stopped by the tracker.
 	HealthEvicted
@@ -52,47 +51,34 @@ func (s HealthState) String() string {
 	}
 }
 
-// HealthOptions configures the tracker. The zero value disables it; a
-// zero field of an enabled tracker selects the default noted on it.
+// Health tracker constants. A drive must contribute healthMinSamples
+// clean completions before its EWMA takes part in judgements; the EWMA
+// smooths with healthAlpha (a 4-sample time constant: fast enough to
+// catch a stutter window within a short run, slow enough to ignore one
+// unlucky seek); a drive whose EWMA reaches healthSuspectRatio times the
+// array median becomes Suspect.
+const (
+	healthMinSamples   = 16
+	healthAlpha        = 0.25
+	healthSuspectRatio = 2
+)
+
+// HealthOptions configures the tracker. The zero value disables it.
 type HealthOptions struct {
 	// Enabled turns tracking on.
 	Enabled bool
-	// SuspectRatio is the drive-EWMA over array-median ratio at which a
-	// drive becomes Suspect. 0 means 2.
-	SuspectRatio float64
-	// EvictRatio is the ratio at which a drive is proactively evicted.
-	// 0 means 3.5; negative disables eviction (detection only).
+	// EvictRatio is the drive-EWMA over array-median ratio at which a
+	// drive is proactively evicted. 0 means 3.5; negative disables
+	// eviction (detection only). A positive ratio may not be below the
+	// Suspect ratio, 2.
 	EvictRatio float64
-	// MinSamples is how many clean completions a drive must contribute
-	// before its EWMA takes part in judgements. 0 means 32.
-	MinSamples int64
-	// Alpha is the EWMA smoothing factor. 0 means 0.125 (an 8-sample time
-	// constant: fast enough to catch a stutter window, slow enough to
-	// ignore one unlucky seek).
-	Alpha float64
-	// EvictFaults evicts at this many faults. 0 means 64; negative
-	// disables fault-based eviction.
-	EvictFaults int64
 }
 
 func (h HealthOptions) validate() error {
-	if !h.Enabled {
-		return nil
-	}
-	if h.SuspectRatio < 0 || h.Alpha < 0 || h.Alpha > 1 || h.MinSamples < 0 {
-		return fmt.Errorf("core: invalid health options %+v", h)
-	}
-	if sr, er := h.suspectRatio(), h.evictRatio(); er > 0 && er < sr {
-		return fmt.Errorf("core: evict ratio %v below suspect ratio %v", er, sr)
+	if er := h.evictRatio(); h.Enabled && er > 0 && er < healthSuspectRatio {
+		return fmt.Errorf("core: evict ratio %v below suspect ratio %v", er, healthSuspectRatio)
 	}
 	return nil
-}
-
-func (h HealthOptions) suspectRatio() float64 {
-	if h.SuspectRatio == 0 {
-		return 2
-	}
-	return h.SuspectRatio
 }
 
 // evictRatio returns the eviction threshold, <= 0 meaning disabled.
@@ -101,28 +87,6 @@ func (h HealthOptions) evictRatio() float64 {
 		return 3.5
 	}
 	return h.EvictRatio
-}
-
-func (h HealthOptions) minSamples() int64 {
-	if h.MinSamples == 0 {
-		return 32
-	}
-	return h.MinSamples
-}
-
-func (h HealthOptions) alpha() float64 {
-	if h.Alpha == 0 {
-		return 0.125
-	}
-	return h.Alpha
-}
-
-// evictFaults returns the fault-count eviction threshold, <= 0 disabled.
-func (h HealthOptions) evictFaults() int64 {
-	if h.EvictFaults == 0 {
-		return 64
-	}
-	return h.EvictFaults
 }
 
 // SuspectPenalty is the scheduling handicap a request carries when it is
@@ -150,21 +114,13 @@ func (a *Array) suspectDrive(d *drive) bool {
 // observeHealth feeds one clean foreground service time into the drive's
 // EWMA and re-evaluates its state.
 func (a *Array) observeHealth(d *drive, service des.Time) {
-	h := &a.opts.Health
 	us := float64(service)
 	if d.healthN == 0 {
 		d.ewmaUS = us
 	} else {
-		d.ewmaUS += h.alpha() * (us - d.ewmaUS)
+		d.ewmaUS += healthAlpha * (us - d.ewmaUS)
 	}
 	d.healthN++
-	a.evaluateHealth(d)
-}
-
-// healthFault counts one injected fault against the drive and re-evaluates
-// (a timing-out drive can look clean on its surviving completions).
-func (a *Array) healthFault(d *drive) {
-	d.faultCount++
 	a.evaluateHealth(d)
 }
 
@@ -173,9 +129,8 @@ func (a *Array) healthFault(d *drive) {
 // two drives qualify — one drive has no peers to be slower than.
 func (a *Array) medianEWMA() float64 {
 	s := a.healthScratch[:0]
-	min := a.opts.Health.minSamples()
 	for _, d := range a.drives {
-		if !d.failed && d.healthN >= min {
+		if !d.failed && d.healthN >= healthMinSamples {
 			s = append(s, d.ewmaUS)
 		}
 	}
@@ -193,22 +148,18 @@ func (a *Array) medianEWMA() float64 {
 
 // evaluateHealth runs the state machine for one drive.
 func (a *Array) evaluateHealth(d *drive) {
-	h := &a.opts.Health
 	if d.failed || d.health == HealthEvicted {
 		return
 	}
 	var ratio float64
-	if d.healthN >= h.minSamples() {
+	if d.healthN >= healthMinSamples {
 		if med := a.medianEWMA(); med > 0 {
 			ratio = d.ewmaUS / med
 		}
 	}
-	evict := (h.evictRatio() > 0 && ratio >= h.evictRatio()) ||
-		(h.evictFaults() > 0 && d.faultCount >= h.evictFaults())
-	// A drive that has surfaced this many injected faults is Suspect
-	// whatever its latency.
-	const suspectFaults = 16
-	suspect := evict || ratio >= h.suspectRatio() || d.faultCount >= suspectFaults
+	er := a.opts.Health.evictRatio()
+	evict := er > 0 && ratio >= er
+	suspect := evict || ratio >= healthSuspectRatio
 
 	if evict && a.canEvict() {
 		a.setHealth(d, HealthEvicted)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/des"
 	"repro/internal/disk"
 	"repro/internal/layout"
+	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
@@ -96,10 +97,13 @@ func TestPoolPoisoningAliasRegression(t *testing.T) {
 // the spare, and one Crash/Recover cycle pulled while a write copy of the
 // array's mode sits queued (in foreground mode that fails a write through
 // crashFG). Clients that submit into the outage retry after a backoff. The
-// digest covers everything observable.
-func oracleStressRun(t *testing.T, durability NVRAMDurability, foreground bool) string {
+// digest covers everything observable. A non-nil reg attaches the
+// observability layer, whose corruption and lost-chunk tallies must then
+// match the array's counters.
+func oracleStressRun(t *testing.T, durability NVRAMDurability, foreground bool, reg *obs.Registry) string {
 	t.Helper()
 	sim, a := crashArray(t, durability, func(o *Options) {
+		o.Obs = reg
 		o.Spares = 1
 		o.VerifyReads = true
 		o.ForegroundWrites = foreground
@@ -201,6 +205,22 @@ func oracleStressRun(t *testing.T, durability NVRAMDurability, foreground bool) 
 		t.Fatalf("crashes=%d recoveries=%d detected=%d scrub passes=%d rebuilds=%d owed=%d: the run missed a path it exists to cover",
 			rec.Crashes, rec.Recoveries, f.VerifyDetected, sc.Passes, f.RebuildsDone, owed)
 	}
+	if r := a.Obs(); r != nil {
+		var latent, corrupt, torn int64
+		for i := 0; i < r.Drives(); i++ {
+			d := r.Drive(i)
+			latent, corrupt, torn = latent+d.LatentErrors, corrupt+d.CorruptReads, torn+d.TornWrites
+		}
+		// The 24 injected copies count as latent errors at the array, but
+		// no drive drew them.
+		if latent+24 != f.LatentErrors || corrupt != f.CorruptReads || torn != f.TornWrites || r.ChunksLost != f.LostChunks {
+			t.Fatalf("obs latent/corrupt/torn/lost %d/%d/%d/%d != array %d/%d/%d/%d", latent, corrupt, torn, r.ChunksLost,
+				f.LatentErrors, f.CorruptReads, f.TornWrites, f.LostChunks)
+		}
+		if f.LatentErrors == 0 || f.LostChunks == 0 {
+			t.Fatalf("no latent draws or lost chunks to attribute: %+v", f)
+		}
+	}
 	return fmt.Sprintf("finished=%d failed=%d refused=%d lat=%v now=%v faults=%+v scrub=%+v recovery=%+v rebuilt=%v divergent=%d corrupt=%d",
 		finished, failed, refused, latSum, sim.Now(), f, sc, rec, a.RebuildProgress(), a.DivergentCopies(), a.CorruptCopies())
 }
@@ -209,7 +229,8 @@ func oracleStressRun(t *testing.T, durability NVRAMDurability, foreground bool) 
 // integrity oracle on, in both write modes and both NVRAM durability modes:
 // verify-on-read repairs, scrub and recovery-scan repairs, the rebuild and
 // the crash sweeps must hold no recycled request. Each leg's digest is also
-// pinned, so a change that moves the simulation shows up here too.
+// pinned, so a change that moves the simulation shows up here too, and a
+// third run with the observability layer on must give the same digest.
 func TestPoolPoisoningOracleOn(t *testing.T) {
 	for _, leg := range []struct {
 		durability NVRAMDurability
@@ -224,9 +245,12 @@ func TestPoolPoisoningOracleOn(t *testing.T) {
 		{BatteryBacked, false, "5082348048178904"},
 	} {
 		t.Run(fmt.Sprintf("%v/foreground=%v", leg.durability, leg.foreground), func(t *testing.T) {
-			clean := oracleStressRun(t, leg.durability, leg.foreground)
+			clean := oracleStressRun(t, leg.durability, leg.foreground, nil)
+			if observed := oracleStressRun(t, leg.durability, leg.foreground, &obs.Registry{}); observed != clean {
+				t.Fatalf("observability changed the simulation:\noff: %s\non:  %s", clean, observed)
+			}
 			defer SetPoolPoisoning(SetPoolPoisoning(true))
-			poisoned := oracleStressRun(t, leg.durability, leg.foreground)
+			poisoned := oracleStressRun(t, leg.durability, leg.foreground, nil)
 			if clean != poisoned {
 				t.Fatalf("pool poisoning changed the simulation:\nclean:    %s\npoisoned: %s", clean, poisoned)
 			}

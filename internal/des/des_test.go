@@ -181,6 +181,9 @@ func TestTimeString(t *testing.T) {
 			t.Errorf("%v.String() = %q, want %q", float64(c.t), got, c.want)
 		}
 	}
+	if got := Time(1500).Milliseconds(); got != 1.5 {
+		t.Errorf("Milliseconds() = %v, want 1.5", got)
+	}
 }
 
 func BenchmarkEventThroughput(b *testing.B) {

@@ -142,17 +142,11 @@ func (sh *Sharded) SetWorkers(n int) error {
 	return nil
 }
 
-// Shards reports the shard count.
-func (sh *Sharded) Shards() int { return len(sh.shards) }
-
 // Shard returns shard i's simulator, for building that shard's world and
 // for same-shard scheduling. Mutating a shard while RunUntil is executing
 // an epoch is a data race; do it before running or from that shard's own
 // events.
 func (sh *Sharded) Shard(i int) *Sim { return sh.shards[i] }
-
-// Lookahead reports the engine's lookahead window.
-func (sh *Sharded) Lookahead() Time { return sh.lookahead }
 
 // Processed sums events executed across shards.
 func (sh *Sharded) Processed() uint64 {

@@ -231,9 +231,6 @@ func NewCorruptionInjector(m FaultModel, seed int64) *CorruptionInjector {
 	return &CorruptionInjector{model: m, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Model returns the injector's configuration.
-func (ci *CorruptionInjector) Model() FaultModel { return ci.model }
-
 // Draw decides the silent fate of one command: exactly one uniform
 // variate per command regardless of opcode, deterministic in command
 // order. Reads draw latent-vs-transient corruption; writes draw tearing.
@@ -273,9 +270,6 @@ func NewSlowState(p SlowProfile, seed int64) *SlowState {
 	}
 	return &SlowState{prof: p, rng: rand.New(rand.NewSource(seed))}
 }
-
-// Profile returns the state's configuration.
-func (s *SlowState) Profile() SlowProfile { return s.prof }
 
 // advance rolls the window stream forward so that winEnd > now, drawing
 // new (start, duration) pairs as simulated time passes. Deterministic in

@@ -151,10 +151,6 @@ func (g *Geometry) ZoneIndexOf(c int) int { return int(g.cylZone[c]) }
 // TotalSectors reports the number of logical (addressable) sectors.
 func (g *Geometry) TotalSectors() int64 { return g.logicalSizeLB }
 
-// PhysicalSectors reports the number of physical sectors including
-// reserved cylinders and defects.
-func (g *Geometry) PhysicalSectors() int64 { return g.totalPhys }
-
 // Capacity reports the logical capacity in bytes.
 func (g *Geometry) Capacity() int64 { return g.logicalSizeLB * SectorSize }
 

@@ -45,9 +45,6 @@ func (sc SeekCurve) Time(dist int, write bool) des.Time {
 // (8/15)*sqrt(c). Used when fitting a curve to a published average seek.
 func MeanSqrtDist(c int) float64 { return 8.0 / 15.0 * math.Sqrt(float64(c)) }
 
-// MeanDist returns E[|i-j|] for i, j uniform on [0, c), which is c/3.
-func MeanDist(c int) float64 { return float64(c) / 3 }
-
 // SolveSeekCurve fits Alpha, Beta, Gamma so that a single-cylinder seek
 // takes minT, a full-stroke seek over maxDist cylinders takes maxT, and the
 // average seek between two uniformly random cylinders takes avgT. This lets

@@ -122,15 +122,9 @@ func runFailSlow(slow, hedge, evict bool, ios int, seed int64) (failSlowRes, err
 		}
 		if hedge {
 			o.Hedge = true
-			// Fast detection scaled to the run length; eviction stays off
-			// unless the scenario asks for it (detection-only mode).
-			o.Health = core.HealthOptions{
-				Enabled:     true,
-				MinSamples:  16,
-				Alpha:       0.25,
-				EvictRatio:  -1,
-				EvictFaults: -1,
-			}
+			// Eviction stays off unless the scenario asks for it
+			// (detection-only mode).
+			o.Health = core.HealthOptions{Enabled: true, EvictRatio: -1}
 		}
 		if evict {
 			o.Spares = 1

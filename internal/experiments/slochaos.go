@@ -222,10 +222,8 @@ func defaultSLOGatewaySpec(c Config) (sloGatewaySpec, error) {
 			ViolateWindows: 2, RecoverWindows: 3, MinSamples: 4,
 			Classify: sloClassifyTenant,
 			Actuators: slo.Actuators{
-				BackgroundMBps: 1,
-				HedgeAfter:     3 * des.Millisecond,
-				ThrottleScale:  0.4,
-				DepthFactor:    0.5,
+				HedgeAfter:    3 * des.Millisecond,
+				ThrottleScale: 0.4,
 			},
 		},
 		met: met,
@@ -466,11 +464,7 @@ func defaultSLOClusterSpec(c Config, on bool) (sloClusterSpec, error) {
 			ViolateWindows: 1, RecoverWindows: 2, MinSamples: 3,
 			ShedRetryAfter: 2 * des.Millisecond,
 			Classify:       classify,
-			Actuators: slo.Actuators{
-				BackgroundMBps: 1,
-				HedgeAfter:     3 * des.Millisecond,
-				DepthFactor:    0.5,
-			},
+			Actuators:      slo.Actuators{HedgeAfter: 3 * des.Millisecond},
 		},
 		tierSLO: tierSLO,
 	}, nil

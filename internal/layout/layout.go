@@ -168,9 +168,6 @@ func New(cfg Config, geom *disk.Geometry, dataSectors int64) (*Layout, error) {
 // DataSectors returns the logical volume size.
 func (l *Layout) DataSectors() int64 { return l.dataSectors }
 
-// PerDisk returns the distinct data sectors stored per disk.
-func (l *Layout) PerDisk() int64 { return l.perDisk }
-
 // UsedCylinders returns how many cylinders of each drive hold data — the
 // seek-limiting footprint (≈ LogicalCylinders/Ds when the volume fills the
 // array).

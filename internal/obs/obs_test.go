@@ -113,6 +113,11 @@ func TestSnapshotMergeOrderIndependent(t *testing.T) {
 	}
 	a := mk([]string{"x", "y", "y"})
 	b := mk([]string{"y", "x", "y"})
+	reg := &Registry{}
+	x, y := reg.NewRecorder("x", 1), reg.NewRecorder("y", 1)
+	if recs := reg.Recorders(); len(recs) != 2 || recs[0] != x || recs[1] != y {
+		t.Fatalf("Recorders() = %v, want both recorders in creation order", recs)
+	}
 	if !bytes.Equal(a, b) {
 		t.Fatalf("snapshot depends on registration order:\n%s\nvs\n%s", a, b)
 	}

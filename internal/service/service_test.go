@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"strings"
@@ -68,6 +69,10 @@ func TestServerHTTP(t *testing.T) {
 			t.Errorf("Close: %v", err)
 		}
 	}()
+
+	if a := h.ln.Addr(); a.Network() != "mem" || a.String() != "mem" {
+		t.Fatalf("listener address %s/%s, want mem/mem", a.Network(), a)
+	}
 
 	// healthz.
 	hr, body := h.get(t, http.MethodGet, "http://mem/healthz", nil)
@@ -307,5 +312,31 @@ func TestGatewayCloseRejects(t *testing.T) {
 	}
 	if resp := h.GW.Admin(func() error { return nil }); resp.Status != StatusUnavailable {
 		t.Fatalf("Admin after close: %+v", resp)
+	}
+}
+
+// deafVolume accepts every I/O but never reports a completion.
+type deafVolume struct{ *core.Array }
+
+func (v deafVolume) SubmitBatchErrs(ops []core.BatchOp) ([]error, int) {
+	for i := range ops {
+		ops[i].Done = nil
+	}
+	return v.Array.SubmitBatchErrs(ops)
+}
+
+// TestGatewayStalled: a caller waiting on a completion the simulator will
+// never deliver is failed with ErrGatewayStalled instead of hanging, and
+// Run returns the same error.
+func TestGatewayStalled(t *testing.T) {
+	g := NewGateway(deafVolume{testVolume(t, nil)}, Config{})
+	runErr := make(chan error, 1)
+	go func() { runErr <- g.Run() }()
+	resp := g.Do(Request{Tenant: "t", Op: core.Read, Off: 0, Count: 8})
+	if resp.Status != StatusUnavailable || resp.Err != ErrGatewayStalled.Error() {
+		t.Fatalf("Do on a stalled gateway: %+v", resp)
+	}
+	if err := <-runErr; !errors.Is(err, ErrGatewayStalled) {
+		t.Fatalf("Run = %v, want ErrGatewayStalled", err)
 	}
 }

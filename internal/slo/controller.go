@@ -217,7 +217,7 @@ func (c *Controller) closeWindow() {
 		c.ctr.violations++
 		c.violStreak++
 		c.okStreak = 0
-		if c.violStreak >= c.opts.violateWindows() && c.level < c.opts.maxLevel() {
+		if c.violStreak >= c.opts.violateWindows() && c.level < ShedStandard {
 			c.step(end, c.level+1)
 			c.ctr.escalations++
 			c.violStreak = 0
@@ -251,23 +251,20 @@ func (c *Controller) step(at des.Time, to Level) {
 func (c *Controller) apply() {
 	t := c.base
 	if c.level >= DegradeBackground {
-		floor := c.opts.Actuators.backgroundMBps()
-		t.RebuildMBps = min(c.base.RebuildMBps, floor)
-		t.ScrubMBps = min(c.base.ScrubMBps, floor)
-		t.RecoveryScanMBps = min(c.base.RecoveryScanMBps, floor)
+		t.RebuildMBps = min(c.base.RebuildMBps, backgroundFloorMBps)
+		t.ScrubMBps = min(c.base.ScrubMBps, backgroundFloorMBps)
+		t.RecoveryScanMBps = min(c.base.RecoveryScanMBps, backgroundFloorMBps)
 		if ha := c.opts.Actuators.HedgeAfter; ha > 0 {
 			t.HedgeAfter = ha
 		}
 	}
 	if c.level >= ShedBestEffort && c.base.MaxQueueDepth > 0 {
-		if df := c.opts.Actuators.depthFactor(); df > 0 {
-			d := int(float64(c.base.MaxQueueDepth)*df + 0.5)
-			if d < 1 {
-				d = 1
-			}
-			if d < t.MaxQueueDepth {
-				t.MaxQueueDepth = d
-			}
+		d := int(float64(c.base.MaxQueueDepth)*depthFactor + 0.5)
+		if d < 1 {
+			d = 1
+		}
+		if d < t.MaxQueueDepth {
+			t.MaxQueueDepth = d
 		}
 	}
 	if err := c.vol.SetTuning(t); err != nil {

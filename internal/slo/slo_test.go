@@ -108,7 +108,7 @@ func TestEscalationLadder(t *testing.T) {
 	vol := testVolume(t)
 	base := vol.Tuning()
 	opts := testOptions()
-	opts.Actuators = Actuators{BackgroundMBps: 1, HedgeAfter: 5 * des.Millisecond}
+	opts.Actuators = Actuators{HedgeAfter: 5 * des.Millisecond}
 	c, err := New(vol, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +224,6 @@ func TestRecoveryReverseOrder(t *testing.T) {
 // come back.
 func TestShedTenantsDriveReadmission(t *testing.T) {
 	opts := testOptions()
-	opts.MaxLevel = ShedStandard
 	c, err := New(testVolume(t), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -327,8 +326,6 @@ func TestOptionsValidate(t *testing.T) {
 		{Window: -1},
 		{Targets: [NumTiers]des.Time{Premium: -des.Millisecond}},
 		{ViolateWindows: -1},
-		{MaxLevel: NumLevels},
-		{Actuators: Actuators{BackgroundMBps: -1}},
 		{Actuators: Actuators{ThrottleScale: -0.5}},
 	}
 	for i, o := range bad {

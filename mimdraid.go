@@ -208,7 +208,7 @@ func (a *Array) WriteAsync(off int64, count int, done func(Result)) error {
 	return a.Submit(core.Write, off, count, true, done)
 }
 
-// BatchOp is one operation of a SubmitBatch: Op is mimdraid.OpRead or
+// BatchOp is one operation of Array.SubmitBatch or SubmitBatchErrs: Op is mimdraid.OpRead or
 // mimdraid.OpWrite, the rest mirror the Submit parameters.
 type BatchOp = core.BatchOp
 
@@ -220,27 +220,6 @@ const (
 	OpRead  = core.Read
 	OpWrite = core.Write
 )
-
-// SubmitBatch issues a batch of operations with amortized dispatch: every
-// operation is validated, resolved, and routed into the drive queues
-// before any drive schedules, and each touched drive is then kicked
-// exactly once. Callers carrying queues of accumulated work (closed-loop
-// drivers priming a window, caches flushing) get one scheduling pass per
-// drive instead of one per operation. Operations submit in order; the
-// first error stops the batch and the count of submitted operations is
-// returned alongside it.
-func (a *Array) SubmitBatch(ops []BatchOp) (int, error) {
-	return a.Array.SubmitBatch(ops)
-}
-
-// SubmitBatchErrs issues the batch like SubmitBatch but attempts every
-// operation: per-operation submit errors come back in an index-aligned
-// slice (nil when everything was submitted), alongside the count of
-// operations actually queued. An operation with a non-nil error slot was
-// never queued and its Done will not run.
-func (a *Array) SubmitBatchErrs(ops []BatchOp) ([]error, int) {
-	return a.Array.SubmitBatchErrs(ops)
-}
 
 // NVRAMDurability selects what a power failure does to the delayed-copy
 // NVRAM table (CrashModel.Durability).
@@ -314,7 +293,8 @@ const (
 type SLOOptions = slo.Options
 
 // SLOActuators bounds what each brownout level may do to the system
-// (background pacing floor, hedge clamp, throttle scale, depth factor).
+// (hedge clamp, throttle scale); the background pacing floor (1 MB/s) and
+// the admission-depth factor (0.5) are fixed.
 type SLOActuators = slo.Actuators
 
 // SLOController closes the loop from observed windowed p99 latency back
@@ -332,19 +312,6 @@ type SLOState = slo.State
 func NewSLOController(vol Volume, opts SLOOptions) (*SLOController, error) {
 	return slo.New(vol, opts)
 }
-
-// SetShardWorkers sets the process-wide worker count used by sharded
-// multi-brick simulations (des.Sharded engines); the CLIs' -shards flag
-// lands here. Counts below 1 are rejected with an error wrapping
-// ErrWorkerCount. On success it returns the previous setting.
-func SetShardWorkers(n int) (int, error) { return des.SetShardWorkers(n) }
-
-// ErrWorkerCount reports an invalid worker count passed to
-// SetShardWorkers.
-var ErrWorkerCount = des.ErrWorkerCount
-
-// ShardWorkers reports the current sharded-engine worker count.
-func ShardWorkers() int { return des.ShardWorkers() }
 
 // ShardedSim is a conservative-lookahead parallel driver over several
 // independent Sims — one per "brick" (array plus drives plus workload).

@@ -38,62 +38,82 @@ func TestPublicAPIQuickPath(t *testing.T) {
 	}
 }
 
-// A sharded cluster builds and serves through the public API: the router
-// on shard 0 of a two-worker engine, an R=2 volume over three bricks on
-// their own shards, a closed loop of reads and writes submitted from
-// router events.
+// A cluster builds and serves through the public API in both forms: the
+// router on shard 0 of a two-worker engine with three bricks on their own
+// shards, and the colocated form where router and bricks share one Sim.
+// Each runs an R=2 volume over three bricks and a closed loop of reads and
+// writes submitted from router events.
 func TestPublicAPIShardedCluster(t *testing.T) {
 	const lat = 150 * Microsecond
-	sh := NewShardedSim(4, lat)
-	if err := sh.SetWorkers(2); err != nil {
-		t.Fatal(err)
-	}
-	sims := []*Sim{sh.Shard(0), sh.Shard(1), sh.Shard(2), sh.Shard(3)}
-	var bricks []Volume
-	for b := 1; b <= 3; b++ {
-		arr, err := New(sims[b], Options{Config: RAID10(2), Policy: "satf", DataSectors: 1 << 16, Seed: int64(b)})
+	opts := ClusterOptions{Replicas: 2, ExtentSectors: 512}
+	for _, sharded := range []bool{true, false} {
+		var (
+			sims  []*Sim
+			run   func()
+			build func([]Volume) (*ClusterVolume, error)
+		)
+		if sharded {
+			sh := NewShardedSim(4, lat)
+			if err := sh.SetWorkers(2); err != nil {
+				t.Fatal(err)
+			}
+			sims = []*Sim{sh.Shard(0), sh.Shard(1), sh.Shard(2), sh.Shard(3)}
+			run = sh.Run
+			build = func(bricks []Volume) (*ClusterVolume, error) {
+				return NewShardedCluster(sims, sh.Send, lat, bricks, opts)
+			}
+		} else {
+			sim := NewSim()
+			sims = []*Sim{sim, sim, sim, sim}
+			run = sim.Run
+			build = func(bricks []Volume) (*ClusterVolume, error) { return NewCluster(sim, bricks, opts) }
+		}
+		var bricks []Volume
+		for b := 1; b <= 3; b++ {
+			arr, err := New(sims[b], Options{Config: RAID10(2), Policy: "satf", DataSectors: 1 << 16, Seed: int64(b)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bricks = append(bricks, arr)
+		}
+		cl, err := build(bricks)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bricks = append(bricks, arr)
-	}
-	cl, err := NewShardedCluster(sims, sh.Send, lat, bricks, ClusterOptions{Replicas: 2, ExtentSectors: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	issued, finished := 0, 0
-	var issue func()
-	issue = func() {
-		if issued == 200 {
-			return
-		}
-		op := OpRead
-		if issued%3 == 0 {
-			op = OpWrite
-		}
-		off := int64(issued*7919) % (cl.DataSectors() - 8)
-		issued++
-		if err := cl.Submit(op, off, 8, false, func(r Result) {
-			if r.Failed {
-				t.Errorf("request at %d failed: %v", r.Off, r.Err)
+		issued, finished := 0, 0
+		var issue func()
+		issue = func() {
+			if issued == 200 {
+				return
 			}
-			finished++
-			issue()
-		}); err != nil {
-			t.Errorf("submit: %v", err)
+			op := OpRead
+			if issued%3 == 0 {
+				op = OpWrite
+			}
+			off := int64(issued*7919) % (cl.DataSectors() - 8)
+			issued++
+			if err := cl.Submit(op, off, 8, false, func(r Result) {
+				if r.Failed {
+					t.Errorf("sharded=%v: request at %d failed: %v", sharded, r.Off, r.Err)
+				}
+				finished++
+				issue()
+			}); err != nil {
+				t.Errorf("sharded=%v: submit: %v", sharded, err)
+			}
 		}
-	}
-	sh.Shard(0).At(0, func() {
-		for i := 0; i < 4; i++ {
-			issue()
+		sims[0].At(0, func() {
+			for i := 0; i < 4; i++ {
+				issue()
+			}
+		})
+		run()
+		if finished != 200 {
+			t.Fatalf("sharded=%v: finished %d/200", sharded, finished)
 		}
-	})
-	sh.Run()
-	if finished != 200 {
-		t.Fatalf("finished %d/200", finished)
-	}
-	if c := cl.Counters(); c.ReadFailovers != 0 || c.Diverged != 0 {
-		t.Fatalf("healthy sharded cluster moved failure counters: %+v", c)
+		if c := cl.Counters(); c.ReadFailovers != 0 || c.Diverged != 0 {
+			t.Fatalf("sharded=%v: healthy cluster moved failure counters: %+v", sharded, c)
+		}
 	}
 }
 

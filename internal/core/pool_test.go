@@ -91,18 +91,24 @@ func TestPoolPoisoningAliasRegression(t *testing.T) {
 }
 
 // oracleStressRun is poolStressRun with the integrity oracle on, as it is on
-// every crash-enabled brick: a RAID-10 array with one spare, Crash.Enabled
-// and VerifyReads, latent, corrupt and torn draws on top of an injected
-// latent-error population, a scrub pass, a drive fail-stop with rebuild onto
-// the spare, and one Crash/Recover cycle pulled while a write copy of the
-// array's mode sits queued (in foreground mode that fails a write through
-// crashFG). Clients that submit into the outage retry after a backoff. The
-// digest covers everything observable. A non-nil reg attaches the
+// every crash-enabled brick: an array of cfg's shape with one spare,
+// Crash.Enabled and VerifyReads, latent, corrupt and torn draws on top of an
+// injected latent-error population, a scrub pass, a drive fail-stop with
+// rebuild onto the spare, and one Crash/Recover cycle pulled while a write
+// copy of the array's mode sits queued (in foreground mode that fails a write
+// through crashFG). Clients that submit into the outage retry after a
+// backoff. The digest covers everything observable, the oracle's own
+// CorruptCopies and DivergentCopies included. A non-nil reg attaches the
 // observability layer, whose corruption and lost-chunk tallies must then
-// match the array's counters.
-func oracleStressRun(t *testing.T, durability NVRAMDurability, foreground bool, reg *obs.Registry) string {
+// match the array's counters. afterStep, when non-nil, runs after every
+// simulation event. The second result samples DivergentCopies/CorruptCopies
+// just after the fail-stop, the crash and the recovery, while the oracle
+// still holds wrong copies (after the final drain both read 0).
+func oracleStressRun(t *testing.T, cfg layout.Config, durability NVRAMDurability, foreground bool, reg *obs.Registry, afterStep func(*Array)) (digest, oracle string) {
 	t.Helper()
-	sim, a := crashArray(t, durability, func(o *Options) {
+	sim, a := newArray(t, cfg, "rsatf", func(o *Options) {
+		o.DataSectors = 1 << 16
+		o.Crash = CrashModel{Enabled: true, Durability: durability}
 		o.Obs = reg
 		o.Spares = 1
 		o.VerifyReads = true
@@ -121,6 +127,9 @@ func oracleStressRun(t *testing.T, durability NVRAMDurability, foreground bool, 
 	issued, finished, failed, refused := 0, 0, 0, 0
 	var latSum des.Time
 	wantCrash := false
+	sample := func(at string) {
+		oracle += fmt.Sprintf("%s:%d/%d ", at, a.DivergentCopies(), a.CorruptCopies())
+	}
 	var issue func()
 	var submit func(op Op, off int64, count int)
 	onDone := func(r Result) {
@@ -159,6 +168,7 @@ func oracleStressRun(t *testing.T, durability NVRAMDurability, foreground bool, 
 			if err := a.FailDrive(1); err != nil {
 				t.Fatalf("FailDrive: %v", err)
 			}
+			sample("fail")
 		case total / 2:
 			wantCrash = true
 		}
@@ -177,6 +187,16 @@ func oracleStressRun(t *testing.T, durability NVRAMDurability, foreground bool, 
 		}
 		return false
 	}
+	propagationQueued := func() bool {
+		for _, d := range a.drives {
+			for _, c := range d.delayed {
+				if !c.rebuild && !c.repair {
+					return true
+				}
+			}
+		}
+		return false
+	}
 	for i := 0; i < clients; i++ {
 		issue()
 	}
@@ -184,15 +204,22 @@ func oracleStressRun(t *testing.T, durability NVRAMDurability, foreground bool, 
 		if !sim.Step() {
 			t.Fatalf("stalled at %d/%d", finished, total)
 		}
-		if wantCrash && writeQueued() {
+		if afterStep != nil {
+			afterStep(a)
+		}
+		// In delayed mode the crash also waits for a queued propagation
+		// copy, so the recovery has NVRAM copies to adopt or lose.
+		if wantCrash && writeQueued() && (foreground || propagationQueued()) {
 			wantCrash = false
 			if err := a.Crash(); err != nil {
 				t.Fatal(err)
 			}
+			sample("crash")
 			sim.At(sim.Now()+20*des.Millisecond, func() {
 				if err := a.Recover(); err != nil {
 					t.Fatalf("Recover: %v", err)
 				}
+				sample("recover")
 			})
 		}
 	}
@@ -217,12 +244,15 @@ func oracleStressRun(t *testing.T, durability NVRAMDurability, foreground bool, 
 			t.Fatalf("obs latent/corrupt/torn/lost %d/%d/%d/%d != array %d/%d/%d/%d", latent, corrupt, torn, r.ChunksLost,
 				f.LatentErrors, f.CorruptReads, f.TornWrites, f.LostChunks)
 		}
-		if f.LatentErrors == 0 || f.LostChunks == 0 {
+		// Two rotational replicas on the surviving mirror leave the rebuild
+		// a clean source for every chunk in this run, so only
+		// single-replica shapes must have lost chunks to attribute.
+		if f.LatentErrors == 0 || (f.LostChunks == 0 && cfg.Dr == 1) {
 			t.Fatalf("no latent draws or lost chunks to attribute: %+v", f)
 		}
 	}
 	return fmt.Sprintf("finished=%d failed=%d refused=%d lat=%v now=%v faults=%+v scrub=%+v recovery=%+v rebuilt=%v divergent=%d corrupt=%d",
-		finished, failed, refused, latSum, sim.Now(), f, sc, rec, a.RebuildProgress(), a.DivergentCopies(), a.CorruptCopies())
+		finished, failed, refused, latSum, sim.Now(), f, sc, rec, a.RebuildProgress(), a.DivergentCopies(), a.CorruptCopies()), oracle
 }
 
 // TestPoolPoisoningOracleOn is TestPoolPoisoningAliasRegression with the
@@ -231,26 +261,39 @@ func oracleStressRun(t *testing.T, durability NVRAMDurability, foreground bool, 
 // the crash sweeps must hold no recycled request. Each leg's digest is also
 // pinned, so a change that moves the simulation shows up here too, and a
 // third run with the observability layer on must give the same digest.
+// RAID-10 keeps one copy per (drive, chunk); the 2x2x2 legs give every
+// chunk two rotational replicas on each of two mirrors, so a replica or
+// chunk-to-drive indexing mistake in the oracle moves their digests.
 func TestPoolPoisoningOracleOn(t *testing.T) {
+	raid10, sr2x2x2 := layout.RAID10(4), layout.Config{Ds: 2, Dr: 2, Dm: 2}
 	for _, leg := range []struct {
+		cfg        layout.Config
 		durability NVRAMDurability
 		foreground bool
 		want       string // fnv-64a of the digest
+		oracle     string // DivergentCopies/CorruptCopies mid-run
 	}{
 		// Foreground writes keep no NVRAM table, so durability cannot
 		// matter to them.
-		{Volatile, true, "8cc23dee0e2b1371"},
-		{BatteryBacked, true, "8cc23dee0e2b1371"},
-		{Volatile, false, "16cf0d837d00ccf0"},
-		{BatteryBacked, false, "5082348048178904"},
+		{raid10, Volatile, true, "8cc23dee0e2b1371", "fail:18/18 crash:15/15 recover:15/15 "},
+		{raid10, BatteryBacked, true, "8cc23dee0e2b1371", "fail:18/18 crash:15/15 recover:15/15 "},
+		{raid10, Volatile, false, "16cf0d837d00ccf0", "fail:31/12 crash:27/15 recover:27/15 "},
+		{raid10, BatteryBacked, false, "5082348048178904", "fail:31/12 crash:27/15 recover:27/15 "},
+		{sr2x2x2, Volatile, true, "fae2feb030866847", "fail:17/17 crash:23/23 recover:23/23 "},
+		{sr2x2x2, Volatile, false, "ba61f7e333b47f31", "fail:106/15 crash:68/20 recover:68/20 "},
+		{sr2x2x2, BatteryBacked, false, "325db9d8533dd74b", "fail:106/15 crash:68/20 recover:68/20 "},
 	} {
-		t.Run(fmt.Sprintf("%v/foreground=%v", leg.durability, leg.foreground), func(t *testing.T) {
-			clean := oracleStressRun(t, leg.durability, leg.foreground, nil)
-			if observed := oracleStressRun(t, leg.durability, leg.foreground, &obs.Registry{}); observed != clean {
+		name := fmt.Sprintf("%v/foreground=%v", leg.durability, leg.foreground)
+		if leg.cfg != raid10 {
+			name = fmt.Sprintf("%v/%s", leg.cfg, name)
+		}
+		t.Run(name, func(t *testing.T) {
+			clean, oracle := oracleStressRun(t, leg.cfg, leg.durability, leg.foreground, nil, nil)
+			if observed, _ := oracleStressRun(t, leg.cfg, leg.durability, leg.foreground, &obs.Registry{}, nil); observed != clean {
 				t.Fatalf("observability changed the simulation:\noff: %s\non:  %s", clean, observed)
 			}
 			defer SetPoolPoisoning(SetPoolPoisoning(true))
-			poisoned := oracleStressRun(t, leg.durability, leg.foreground, nil)
+			poisoned, _ := oracleStressRun(t, leg.cfg, leg.durability, leg.foreground, nil, nil)
 			if clean != poisoned {
 				t.Fatalf("pool poisoning changed the simulation:\nclean:    %s\npoisoned: %s", clean, poisoned)
 			}
@@ -258,6 +301,9 @@ func TestPoolPoisoningOracleOn(t *testing.T) {
 			h.Write([]byte(clean))
 			if got := fmt.Sprintf("%016x", h.Sum64()); got != leg.want {
 				t.Fatalf("digest hash %s, want %s; digest:\n%s", got, leg.want, clean)
+			}
+			if oracle != leg.oracle {
+				t.Fatalf("oracle samples %q, want %q", oracle, leg.oracle)
 			}
 		})
 	}
@@ -455,18 +501,21 @@ func TestStaleMarksCoverDelayedCopies(t *testing.T) {
 }
 
 // closedLoop builds the benchmark's array-write-closed shape at test scale
-// — a 2x3 SR-Array with a 1000-entry delayed-write table under 12
-// closed-loop clients issuing 8-sector requests, the given share of them
-// writes — primes it, and returns a function that steps the simulation until
-// the given number of requests have finished (total is all the loop will
-// issue). The table is small enough to fill within a few thousand writes, so
-// a warm-up puts the copy, entry and chunk-state pools in steady state along
-// with the request pools.
-func closedLoop(tb testing.TB, writeShare float64, foreground bool, total int) (runTo func(finished int)) {
+// — an array of cfg's shape (the benchmark's is the 2x3 SR-Array) with a
+// 1000-entry delayed-write table under 12 closed-loop clients issuing
+// 8-sector requests, the given share of them writes — primes it, and returns
+// a function that steps the simulation until the given number of requests
+// have finished (total is all the loop will issue). opts, when non-nil,
+// adjusts the options last. The table is small enough to fill within a few
+// thousand writes, so a warm-up puts the copy, entry and chunk-state pools
+// in steady state along with the request pools.
+func closedLoop(tb testing.TB, cfg layout.Config, writeShare float64, opts func(*Options), total int) (runTo func(finished int)) {
 	tb.Helper()
-	sim, a := newArray(tb, layout.SRArray(2, 3), "rsatf", func(o *Options) {
-		o.ForegroundWrites = foreground
+	sim, a := newArray(tb, cfg, "rsatf", func(o *Options) {
 		o.NVRAMEntries = 1000
+		if opts != nil {
+			opts(o)
+		}
 	})
 	rng := rand.New(rand.NewSource(3))
 	n := a.DataSectors() - 8
@@ -506,7 +555,7 @@ func closedLoop(tb testing.TB, writeShare float64, foreground bool, total int) (
 func steadyStateAllocs(t *testing.T, writeShare float64) float64 {
 	t.Helper()
 	const total = 24000
-	runTo := closedLoop(t, writeShare, false, total)
+	runTo := closedLoop(t, layout.SRArray(2, 3), writeShare, nil, total)
 	runTo(total / 2)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -224,9 +224,9 @@ type Array struct {
 	// every read/write path free of oracle work (and allocation).
 	integrity bool
 	// verSeq stamps logical writes; committed holds each chunk's durable
-	// content version (see integrity.go).
+	// content version, indexed by chunk (see integrity.go).
 	verSeq    uint64
-	committed map[int64]uint64
+	committed []uint64
 	// scrub is the background scrubber state, nil until started; scrubCtr
 	// accumulates its counters (surviving scrubber completion).
 	scrub    *scrubState
@@ -323,10 +323,14 @@ type drive struct {
 	queue   []*sched.Request
 	delayed []*delayedCopy
 	stale   map[int64]*chunkState // chunk -> pending-propagation state
-	// integ is the integrity oracle's per-chunk copy state (content
-	// versions and corruption marks), allocated lazily and only when the
-	// oracle is on.
-	integ map[int64]*integState
+	// integ is the integrity oracle's copy state (content version and
+	// corruption mark) for the chunks of this drive's slot: one row of Dr
+	// entries per chunk, row = chunk / Positions(). It is allocated whole
+	// at the drive's first oracle write, Dr x 8 B per row, and never with
+	// the oracle off; integPos is the slot position (chunk % Positions())
+	// every chunk looked up in it must have.
+	integ    []copyState
+	integPos int64
 
 	refInFlight bool
 	// rec is this drive's observability slot, keyed by physical creation
@@ -451,13 +455,13 @@ func New(sim *des.Sim, opts Options) (*Array, error) {
 		lostChunks: make(map[int64]bool),
 	}
 	// The oracle runs whenever something can corrupt data or consult the
-	// check; otherwise the committed map stays nil and no path touches it.
+	// check; otherwise committed stays nil and no path touches it.
 	// The crash model needs it too: the recovery scan walks content
 	// versions to find replicas a lost delayed copy left divergent.
 	a.integrity = opts.Faults.CorruptionEnabled() || opts.VerifyReads || opts.Scrub.Enabled ||
 		opts.Crash.Enabled
 	if a.integrity {
-		a.committed = make(map[int64]uint64)
+		a.ensureIntegrity()
 	}
 
 	noise := bus.DefaultNoise()

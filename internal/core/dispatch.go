@@ -460,10 +460,11 @@ func (a *Array) submitRead(ur *userRequest, p *layout.Piece) {
 			anyUnreachable = true
 			continue
 		}
-		if a.anyKnownBad(d, p.Chunk) {
+		knownBad := a.anyKnownBad(d, p.Chunk)
+		if knownBad {
 			anyCorrupt = true
 		}
-		tainted := a.chunkTainted(d, p.Chunk)
+		tainted := knownBad || d.stale[p.Chunk] != nil
 		if tainted && !a.anyUsable(d, p.Chunk) {
 			continue // every replica here is stale or known-corrupt
 		}

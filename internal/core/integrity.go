@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 
 	"repro/internal/bus"
@@ -20,8 +21,13 @@ import (
 // fails the read over to a clean replica, and queues an in-place repair.
 //
 // The oracle is maintained only when something can consult it (corruption
-// injection, verification, or scrubbing is on), so disabled runs stay
-// byte-identical and allocation-free.
+// injection, verification, scrubbing or the crash model is on), so disabled
+// runs stay byte-identical and allocate nothing for it. Enabled, its state
+// is dense: Array.committed holds one version per chunk, and each drive
+// holds one table with a row of Dr copyStates per chunk of its slot
+// (copyOf), allocated whole at the drive's first oracle write. A copy no
+// write has touched — its table not yet allocated, or its row still zero —
+// reads as version 0 and clean, which is what it holds.
 
 // Copy corruption states.
 const (
@@ -35,26 +41,71 @@ const (
 	badKnown
 )
 
-// integState is the oracle's ground truth for one chunk's copies on one
-// drive, indexed by rotational replica.
-type integState struct {
-	ver []uint64
-	bad []uint8
+// copyState is the oracle's ground truth for one copy (drive x chunk x
+// rotational replica) in one word: the content version the copy holds in
+// the low 62 bits (verSeq counts logical writes and never nears 2^62) and
+// its corruption state in the top two. The zero value is version 0, clean.
+type copyState uint64
+
+const verBits = 62
+
+func (c copyState) ver() uint64 { return uint64(c) & (1<<verBits - 1) }
+func (c copyState) bad() uint8  { return uint8(c >> verBits) }
+
+func (c *copyState) setVer(v uint64) { *c = copyState(uint64(c.bad())<<verBits | v) }
+func (c *copyState) setBad(b uint8)  { *c = copyState(uint64(b)<<verBits | c.ver()) }
+
+// copyIndex returns the position of the chunk's first replica in the
+// drive's table. A drive's chunks all share chunk % Positions() (its slot's
+// position), so row = chunk / Positions() numbers them densely; a chunk of
+// another position would alias a row of this one, and panics instead.
+func (a *Array) copyIndex(d *drive, chunk int64) int64 {
+	g := int64(a.opts.Config.Positions())
+	row := chunk / g
+	if chunk-row*g != d.integPos {
+		panic(fmt.Sprintf("core: oracle state of chunk %d looked up on drive %d, which holds position %d", chunk, d.id, d.integPos))
+	}
+	return row * int64(a.opts.Config.Dr)
 }
 
-// integOf returns (creating if needed) the oracle state of a chunk on a
-// drive.
-func (a *Array) integOf(d *drive, chunk int64) *integState {
+// copyRow returns the oracle state of the chunk's Dr copies on the drive,
+// nil while the drive's table is unallocated (every copy then reads as the
+// zero copyState).
+func (a *Array) copyRow(d *drive, chunk int64) []copyState {
 	if d.integ == nil {
-		d.integ = make(map[int64]*integState)
+		return nil
 	}
-	st := d.integ[chunk]
-	if st == nil {
-		dr := a.opts.Config.Dr
-		st = &integState{ver: make([]uint64, dr), bad: make([]uint8, dr)}
-		d.integ[chunk] = st
+	i := a.copyIndex(d, chunk)
+	return d.integ[i : i+int64(a.opts.Config.Dr)]
+}
+
+// copyAt returns one copy's oracle state.
+func (a *Array) copyAt(d *drive, chunk int64, replica int) copyState {
+	if d.integ == nil {
+		return 0
 	}
-	return st
+	return d.integ[a.copyIndex(d, chunk)+int64(replica)]
+}
+
+// copyOf returns one copy's oracle state for update, allocating the drive's
+// table at its first touch: ceil(numChunks / Positions()) rows of Dr
+// entries, for the position of the slot the drive sits in.
+func (a *Array) copyOf(d *drive, chunk int64, replica int) *copyState {
+	if d.integ == nil {
+		g := int64(a.opts.Config.Positions())
+		d.integ = make([]copyState, (a.numChunks()+g-1)/g*int64(a.opts.Config.Dr))
+		d.integPos = int64(d.id) % g
+	}
+	return &d.integ[a.copyIndex(d, chunk)+int64(replica)]
+}
+
+// committedVer returns the chunk's committed content version: 0 with the
+// oracle off, when nothing has been committed.
+func (a *Array) committedVer(chunk int64) uint64 {
+	if a.committed == nil {
+		return 0
+	}
+	return a.committed[chunk]
 }
 
 // nextVersion stamps one logical write.
@@ -87,41 +138,36 @@ func (a *Array) noteCopyWritten(d *drive, chunk int64, replica int, v uint64, co
 	if !a.integrity {
 		return
 	}
-	st := a.integOf(d, chunk)
+	cs := a.copyOf(d, chunk, replica)
 	if comp.Torn {
-		if st.bad[replica] == badNone {
-			st.bad[replica] = badSilent
+		if cs.bad() == badNone {
+			cs.setBad(badSilent)
 		}
 		return
 	}
-	if v > st.ver[replica] {
-		st.ver[replica] = v
+	if v > cs.ver() {
+		cs.setVer(v)
 	}
 	if covers {
-		st.bad[replica] = badNone
+		cs.setBad(badNone)
 	}
 }
 
 // poisonCopy marks a copy silently bad unless a verify check already
 // knows about it.
 func (a *Array) poisonCopy(d *drive, chunk int64, replica int) {
-	st := a.integOf(d, chunk)
-	if st.bad[replica] == badNone {
-		st.bad[replica] = badSilent
+	if cs := a.copyOf(d, chunk, replica); cs.bad() == badNone {
+		cs.setBad(badSilent)
 	}
 }
 
-// forEachChunk visits every chunk a (possibly merged) read piece spans.
-// Merged pieces fuse consecutive chunks of one position, so successive
-// chunks are Positions() apart.
-func (a *Array) forEachChunk(p *layout.Piece, fn func(chunk int64)) {
+// pieceChunks returns how many chunks a (possibly merged) read piece spans.
+// Merged pieces fuse consecutive chunks of one position, so the k-th is
+// p.Chunk + k*Positions().
+func (a *Array) pieceChunks(p *layout.Piece) int64 {
 	unit := int64(a.lay.StripeUnit())
 	within := p.Off - p.Chunk*unit
-	n := (within + int64(p.Count) + unit - 1) / unit
-	g := int64(a.opts.Config.Positions())
-	for k := int64(0); k < n; k++ {
-		fn(p.Chunk + k*g)
-	}
+	return (within + int64(p.Count) + unit - 1) / unit
 }
 
 // checkPieceRead consults the oracle for a clean read completion of piece
@@ -138,20 +184,17 @@ func (a *Array) checkPieceRead(d *drive, p *layout.Piece, rep int, comp bus.Comp
 		// command. Merged pieces attribute the draw to their first chunk.
 		a.poisonCopy(d, p.Chunk, rep)
 	}
-	bad := comp.Corrupt
-	a.forEachChunk(p, func(chunk int64) {
-		if st := d.integ[chunk]; st != nil {
-			if st.bad[rep] != badNone {
-				bad = true
-			}
-			if st.ver[rep] < a.committed[chunk] {
-				bad = true
-			}
-		} else if a.committed[chunk] > 0 {
-			bad = true
+	if comp.Corrupt {
+		return true
+	}
+	n, g := a.pieceChunks(p), int64(a.opts.Config.Positions())
+	for k := int64(0); k < n; k++ {
+		chunk := p.Chunk + k*g
+		if cs := a.copyAt(d, chunk, rep); cs.bad() != badNone || cs.ver() < a.committed[chunk] {
+			return true
 		}
-	})
-	return bad
+	}
+	return false
 }
 
 // noteSilent counts one read that returned corrupt data to the caller
@@ -184,28 +227,24 @@ func (a *Array) noteDetected(d *drive, p *layout.Piece, rep int) {
 	if a.obsRec != nil {
 		a.obsRec.VerifyDetected++
 	}
-	a.forEachChunk(p, func(chunk int64) {
-		a.condemnWrong(d, chunk, rep, originRead)
-	})
+	n, g := a.pieceChunks(p), int64(a.opts.Config.Positions())
+	for k := int64(0); k < n; k++ {
+		a.condemnWrong(d, p.Chunk+k*g, rep, originRead)
+	}
 }
 
 // condemnWrong marks the copy known-bad and queues its repair if it is
 // persistently wrong (poisoned media or a stale version — not a one-off
 // transfer garbling). Reports whether it condemned anything.
 func (a *Array) condemnWrong(d *drive, chunk int64, rep int, origin repairOrigin) bool {
-	st := d.integ[chunk]
-	wrong := st == nil && a.committed[chunk] > 0
-	if st != nil && (st.bad[rep] != badNone || st.ver[rep] < a.committed[chunk]) {
-		wrong = true
-	}
-	if !wrong {
+	cs := a.copyAt(d, chunk, rep)
+	if cs.bad() == badNone && cs.ver() >= a.committed[chunk] {
 		return false
 	}
-	stc := a.integOf(d, chunk)
-	if stc.bad[rep] == badKnown {
+	if cs.bad() == badKnown {
 		return false // already detected; its repair is pending
 	}
-	stc.bad[rep] = badKnown
+	a.copyOf(d, chunk, rep).setBad(badKnown)
 	a.queueRepair(d, chunk, rep, origin)
 	return true
 }
@@ -215,7 +254,7 @@ func (a *Array) condemnWrong(d *drive, chunk int64, rep int, origin repairOrigin
 func (a *Array) ensureIntegrity() {
 	a.integrity = true
 	if a.committed == nil {
-		a.committed = make(map[int64]uint64)
+		a.committed = make([]uint64, a.numChunks())
 	}
 }
 
@@ -224,15 +263,8 @@ func (a *Array) ensureIntegrity() {
 // every replica is usable — the allocation-free common case.
 func (a *Array) readMask(d *drive, chunk int64) []bool {
 	mask := a.freshMask(d, chunk)
-	if !a.integrity {
-		return mask
-	}
-	st := d.integ[chunk]
-	if st == nil {
-		return mask
-	}
-	for j, b := range st.bad {
-		if b != badKnown {
+	for j, cs := range a.copyRow(d, chunk) {
+		if cs.bad() != badKnown {
 			continue
 		}
 		if mask == nil {
@@ -250,22 +282,7 @@ func (a *Array) readMask(d *drive, chunk int64) []bool {
 // this drive — some replica stale or known-corrupt — without allocating
 // the mask.
 func (a *Array) chunkTainted(d *drive, chunk int64) bool {
-	if d.stale[chunk] != nil {
-		return true
-	}
-	if !a.integrity {
-		return false
-	}
-	st := d.integ[chunk]
-	if st == nil {
-		return false
-	}
-	for _, b := range st.bad {
-		if b == badKnown {
-			return true
-		}
-	}
-	return false
+	return d.stale[chunk] != nil || a.anyKnownBad(d, chunk)
 }
 
 // replicaUsable reports what readMask's mask[j] would be, without
@@ -275,12 +292,7 @@ func (a *Array) replicaUsable(d *drive, chunk int64, j int) bool {
 	if cs := d.stale[chunk]; cs != nil && cs.staleCount[j] != 0 {
 		return false
 	}
-	if a.integrity {
-		if st := d.integ[chunk]; st != nil && st.bad[j] == badKnown {
-			return false
-		}
-	}
-	return true
+	return a.copyAt(d, chunk, j).bad() != badKnown
 }
 
 // anyUsable reports whether at least one replica of the chunk on this
@@ -317,15 +329,8 @@ func (a *Array) readMaskInto(d *drive, chunk int64, buf []bool) []bool {
 // anyKnownBad reports whether any replica of the chunk on this drive has
 // been detected corrupt (and is awaiting repair).
 func (a *Array) anyKnownBad(d *drive, chunk int64) bool {
-	if !a.integrity {
-		return false
-	}
-	st := d.integ[chunk]
-	if st == nil {
-		return false
-	}
-	for _, b := range st.bad {
-		if b == badKnown {
+	for _, cs := range a.copyRow(d, chunk) {
+		if cs.bad() == badKnown {
 			return true
 		}
 	}
@@ -341,15 +346,12 @@ func (a *Array) hasRepairSource(d *drive, chunk int64, replica int) bool {
 		if q.failed || q.unreadable(chunk) {
 			continue
 		}
-		mask := a.readMask(q, chunk)
 		for j := 0; j < a.opts.Config.Dr; j++ {
 			if q == d && j == replica {
 				continue
 			}
-			if mask != nil && !mask[j] {
-				continue
-			}
-			if st := q.integ[chunk]; st != nil && st.bad[j] != badNone {
+			// A source must be fresh and hold no corruption, known or not.
+			if !a.replicaUsable(q, chunk, j) || a.copyAt(q, chunk, j).bad() != badNone {
 				continue
 			}
 			return true
@@ -452,10 +454,10 @@ func (a *Array) InjectCorruption(n int, seed int64) int {
 		if d.failed || d.unreadable(chunk) {
 			continue
 		}
-		if st := d.integ[chunk]; st != nil && st.bad[rep] != badNone {
+		if a.copyAt(d, chunk, rep).bad() != badNone {
 			continue
 		}
-		a.integOf(d, chunk).bad[rep] = badSilent
+		a.copyOf(d, chunk, rep).setBad(badSilent)
 		a.faults.LatentErrors++
 		injected++
 	}
@@ -466,23 +468,7 @@ func (a *Array) InjectCorruption(n int, seed int64) int {
 // drives — the experiment's measure of how much poison remains after a
 // scrub pass.
 func (a *Array) CorruptCopies() int {
-	n := 0
-	for _, d := range a.drives {
-		if d.failed {
-			continue
-		}
-		for chunk, st := range d.integ {
-			if d.unreadable(chunk) {
-				continue
-			}
-			for _, b := range st.bad {
-				if b != badNone {
-					n++
-				}
-			}
-		}
-	}
-	return n
+	return a.countCopies(func(cs copyState, _ uint64) bool { return cs.bad() != badNone })
 }
 
 // DivergentCopies counts copies on live readable chunks that do not hold
@@ -491,37 +477,31 @@ func (a *Array) CorruptCopies() int {
 // after a crash. Zero means every reachable replica is faithful. Not a hot
 // path: experiments and tests call it between runs.
 func (a *Array) DivergentCopies() int {
+	return a.countCopies(func(cs copyState, committed uint64) bool {
+		return cs.bad() != badNone || cs.ver() < committed
+	})
+}
+
+// countCopies counts the copies on live drive slots and readable chunks
+// for which pred holds, given the copy's state and its chunk's committed
+// version. It walks slots, never the spares: an idle spare holds nothing.
+func (a *Array) countCopies(pred func(cs copyState, committed uint64) bool) int {
+	g := int64(a.opts.Config.Positions())
 	n := 0
-	for _, d := range a.drives {
+	for slot, d := range a.drives {
 		if d.failed {
 			continue
 		}
-		for chunk, st := range d.integ {
+		for chunk := int64(slot) % g; chunk < a.numChunks(); chunk += g {
 			if d.unreadable(chunk) {
 				continue
 			}
-			cv := a.committed[chunk]
-			for j := range st.bad {
-				if st.bad[j] != badNone || st.ver[j] < cv {
+			cv := a.committedVer(chunk)
+			for j := 0; j < a.opts.Config.Dr; j++ {
+				if pred(a.copyAt(d, chunk, j), cv) {
 					n++
 				}
 			}
-		}
-	}
-	// A mirror with committed content but no oracle state at all never took
-	// any write of the chunk (its propagation copies were all lost): every
-	// replica there lags the committed version.
-	for chunk, cv := range a.committed {
-		if cv == 0 {
-			continue
-		}
-		p := a.chunkPiece(chunk)
-		for _, id := range p.Mirrors {
-			d := a.drives[id]
-			if d.failed || d.unreadable(chunk) || d.integ[chunk] != nil {
-				continue
-			}
-			n += a.opts.Config.Dr
 		}
 	}
 	return n

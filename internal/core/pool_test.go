@@ -309,6 +309,54 @@ func TestPoolPoisoningOracleOn(t *testing.T) {
 	}
 }
 
+// TestOracleTableInvariants runs a 2x2x2 oracle stress leg and checks the
+// dense oracle tables after every event: a slot drive's table was
+// allocated for the slot's position and sized to ceil(numChunks /
+// Positions()) rows of Dr, its rows past the slot's last chunk (chunks the
+// volume does not have) stay zero, an idle spare holds no table, and a spare
+// swapped into a slot starts with none.
+func TestOracleTableInvariants(t *testing.T) {
+	cfg := layout.Config{Ds: 2, Dr: 2, Dm: 2}
+	var prev []*drive
+	swaps := 0
+	check := func(a *Array) {
+		g := int64(cfg.Positions())
+		rows := (a.numChunks() + g - 1) / g
+		for k, d := range a.spares {
+			if d.integ != nil {
+				t.Fatalf("at %v idle spare %d holds oracle state", a.sim.Now(), k)
+			}
+		}
+		for slot, d := range a.drives {
+			if prev != nil && prev[slot] != d {
+				swaps++
+				if d.integ != nil {
+					t.Fatalf("at %v the spare swapped into slot %d arrived with oracle state", a.sim.Now(), slot)
+				}
+			}
+			if d.integ == nil {
+				continue
+			}
+			if d.integPos != int64(slot)%g {
+				t.Fatalf("at %v slot %d's table is for position %d, want %d", a.sim.Now(), slot, d.integPos, int64(slot)%g)
+			}
+			if int64(len(d.integ)) != rows*int64(cfg.Dr) {
+				t.Fatalf("at %v slot %d's table has %d entries, want %d", a.sim.Now(), slot, len(d.integ), rows*int64(cfg.Dr))
+			}
+			for i := a.slotChunks(slot) * int64(cfg.Dr); i < int64(len(d.integ)); i++ {
+				if d.integ[i] != 0 {
+					t.Fatalf("at %v slot %d holds state %+v for chunk %d past the volume's end", a.sim.Now(), slot, d.integ[i], (i/int64(cfg.Dr))*g+int64(slot)%g)
+				}
+			}
+		}
+		prev = append(prev[:0], a.drives...)
+	}
+	oracleStressRun(t, cfg, Volatile, false, nil, check)
+	if swaps == 0 {
+		t.Fatal("no spare was swapped in: the spare check never ran")
+	}
+}
+
 // delayedStressRun is the stress loop for recycled delayed-mode write
 // requests: writes of 200-800 sectors that span chunks (so one request's
 // pieces complete at different times), a third of them rewriting a recent

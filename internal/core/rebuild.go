@@ -342,12 +342,8 @@ func (a *Array) chunkRestorable(st *rebuildState, c int64, p *layout.Piece) bool
 		if cs := d.stale[c]; cs != nil && !cs.allZero() {
 			return true
 		}
-		stc := d.integ[c]
-		if stc == nil {
-			continue
-		}
-		for j := 0; j < a.opts.Config.Dr; j++ {
-			if stc.bad[j] == badKnown && (a.repairPending(d, c, j) || a.hasRepairSource(d, c, j)) {
+		for j, cs := range a.copyRow(d, c) {
+			if cs.bad() == badKnown && (a.repairPending(d, c, j) || a.hasRepairSource(d, c, j)) {
 				return true
 			}
 		}
@@ -368,7 +364,7 @@ func (a *Array) writeRebuildCopies(st *rebuildState, c int64, p *layout.Piece, p
 		}
 		a.finishChunk(st, c)
 	}}
-	ver := a.committed[c]
+	ver := a.committedVer(c)
 	for j := 0; j < a.opts.Config.Dr; j++ {
 		spare.delayed = append(spare.delayed, &delayedCopy{
 			entry: entry, replica: j, extents: p.Replicas[j],

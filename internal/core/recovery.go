@@ -203,7 +203,7 @@ func (a *Array) recScanStep(s *recoveryScan) bool {
 	// A copy condemned before the crash lost its queued repair with the
 	// power: re-queue it, or it would wait for a verified read to stumble
 	// over it again.
-	if st := d.integ[chunk]; st != nil && st.bad[rep] == badKnown && !a.repairPending(d, chunk, rep) {
+	if a.copyAt(d, chunk, rep).bad() == badKnown && !a.repairPending(d, chunk, rep) {
 		a.recCtr.DivergentFound++
 		if a.obsRec != nil {
 			a.obsRec.RecoveryDivergent++

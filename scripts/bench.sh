@@ -15,12 +15,16 @@
 # means a request, extent-run, or completion object stopped being
 # recycled — and the chaos experiment (crash-enabled, scrubbing bricks,
 # where the integrity oracle is on) under CHAOS_ALLOC_CAP (default
-# 23150000, 1.1x its 21.04M; 21.13M while the oracle kept requests out of
-# the pool; 99% of what is left is the scrubber resolving chunks). Third,
+# 23150000, 1.1x its 21.04M; it measures 20.95M since the oracle's copy
+# state is a dense table, 21.13M while the oracle kept requests out of the
+# pool; 99% of what is left is the scrubber resolving chunks). Third,
 # the array layer on its own: a delayed-mode write in
 # BenchmarkArrayClosedLoop must report at most 1 allocs/op (go test prints
 # whole numbers: it measures 1.1, its live-mirror slice, and 11 when the
-# write's request, arena or copies stop recycling). Fourth, trace
+# write's request, arena or copies stop recycling), and so must its two
+# integrity-oracle legs, a third of the requests writes with VerifyReads and
+# Crash.Enabled (RAID-10 measures 1 and the SR-Array 0; 3 and 1 while the
+# oracle kept its copy state in per-chunk hash-map entries). Fourth, trace
 # synthesis: one BenchmarkGenerate run, retune passes included, must stay
 # under 955 allocs/op for the cello-base day (1.1x its 867; 9150 while the
 # read-after-write bucket tables were hash maps) and 210 for TPC-C's
@@ -68,16 +72,22 @@ if [ "${1:-}" = "guard" ]; then
     arr=$(go test -run '^$' -bench 'BenchmarkArrayClosedLoop' -benchtime 20000x -benchmem ./internal/core/)
     echo "$arr"
     echo "$arr" | tr '\t' ' ' | awk '
-        /BenchmarkArrayClosedLoop\/write-delayed/ {
+        /BenchmarkArrayClosedLoop\/write-delayed/ { name = "a delayed-mode write" }
+        /BenchmarkArrayClosedLoop\/oracle-raid10/ { name = "a RAID-10 request with the oracle on" }
+        /BenchmarkArrayClosedLoop\/oracle-sr-array/ { name = "an SR-Array request with the oracle on" }
+        /BenchmarkArrayClosedLoop\/(write-delayed|oracle-raid10|oracle-sr-array)/ {
             for (i = 1; i <= NF; i++) if ($(i+1) == "allocs/op") {
-                seen = 1
+                seen++
                 if ($i + 0 > 1) {
-                    printf "FAIL: a delayed-mode write allocates %d allocs/op (cap 1)\n", $i
-                    exit 1
+                    printf "FAIL: %s allocates %d allocs/op (cap 1)\n", name, $i
+                    bad = 1
                 }
             }
         }
-        END { if (!seen) { print "FAIL: no BenchmarkArrayClosedLoop/write-delayed result"; exit 1 } }'
+        END {
+            if (seen != 3) { print "FAIL: missing a BenchmarkArrayClosedLoop write-delayed or oracle result"; exit 1 }
+            exit bad
+        }'
     gen=$(go test -run '^$' -bench 'BenchmarkGenerate' -benchtime 1x -benchmem ./internal/tracegen/)
     echo "$gen"
     echo "$gen" | tr '\t' ' ' | awk '
@@ -98,7 +108,7 @@ if [ "${1:-}" = "guard" ]; then
             if (seen != 2) { print "FAIL: missing a BenchmarkGenerate result"; exit 1 }
             exit bad
         }'
-    echo "guard: hot paths allocation-free with metrics disabled; pooled request path, chaos, delayed-mode writes and trace synthesis under their alloc caps"
+    echo "guard: hot paths allocation-free with metrics disabled; pooled request path, chaos, delayed-mode writes, oracle-on requests and trace synthesis under their alloc caps"
     exit 0
 fi
 

@@ -314,7 +314,8 @@ func TestPoolPoisoningOracleOn(t *testing.T) {
 // allocated for the slot's position and sized to ceil(numChunks /
 // Positions()) rows of Dr, its rows past the slot's last chunk (chunks the
 // volume does not have) stay zero, an idle spare holds no table, and a spare
-// swapped into a slot starts with none.
+// swapped into a slot starts with none. A lookup of a chunk of another
+// position panics.
 func TestOracleTableInvariants(t *testing.T) {
 	cfg := layout.Config{Ds: 2, Dr: 2, Dm: 2}
 	var prev []*drive
@@ -355,6 +356,17 @@ func TestOracleTableInvariants(t *testing.T) {
 	if swaps == 0 {
 		t.Fatal("no spare was swapped in: the spare check never ran")
 	}
+
+	// A chunk of another position would alias a row of the table; the
+	// lookup refuses it.
+	_, a := newArray(t, cfg, "rsatf", func(o *Options) { o.VerifyReads = true })
+	a.copyOf(a.drives[0], 0, 0).setVer(1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("chunk 1 looked up on slot 0's table without a panic")
+		}
+	}()
+	a.copyAt(a.drives[0], 1, 0)
 }
 
 // delayedStressRun is the stress loop for recycled delayed-mode write

@@ -193,10 +193,7 @@ type Array struct {
 	spares []*drive
 	// rebuild is the active hot-spare rebuild, nil when none is running.
 	rebuild *rebuildState
-	// lostChunks records chunks no rebuild could reconstruct — data that
-	// is permanently gone.
-	lostChunks map[int64]bool
-	reqSeq     uint64
+	reqSeq  uint64
 
 	// writeGate serializes delayed-mode first-copy writes per chunk: two
 	// concurrent first copies of the same chunk landing on different
@@ -266,13 +263,12 @@ type Array struct {
 
 	// Free lists backing the zero-allocation submit/dispatch path (see
 	// pool.go). The array runs on one goroutine (its Sim), so no locking.
-	freeReqs        *pooledReq
-	freeRuns        *extentRun
-	freeURs         *userRequest
-	freeFGs         *fgWrite
-	freeCopies      *delayedCopy
-	freeEntries     *propEntry
-	freeChunkStates *chunkState
+	freeReqs    *pooledReq
+	freeRuns    *extentRun
+	freeURs     *userRequest
+	freeFGs     *fgWrite
+	freeCopies  *delayedCopy
+	freeEntries *propEntry
 	// touched is registerPropagation's reusable drive set.
 	touched []*drive
 
@@ -322,15 +318,25 @@ type drive struct {
 
 	queue   []*sched.Request
 	delayed []*delayedCopy
-	stale   map[int64]*chunkState // chunk -> pending-propagation state
+	// The drive's two per-chunk tables share one layout: a row of Dr
+	// entries per chunk of the drive's slot, row = chunk / Positions()
+	// (copyIndex), each allocated whole at its first touch. pos is the
+	// slot position (chunk % Positions()) every chunk looked up in them
+	// must have, fixed at the first allocation (tableLen).
+	//
+	// fresh answers whether each copy is current (see freshness): the
+	// propagations owed to it, and per row the missing and lost marks. It
+	// is allocated at the drive's first stale or missing mark, Dr x 2 B
+	// per row, so a drive that never takes a delayed write or a rebuild
+	// holds none. missingRows counts its rows marked missing.
+	//
 	// integ is the integrity oracle's copy state (content version and
-	// corruption mark) for the chunks of this drive's slot: one row of Dr
-	// entries per chunk, row = chunk / Positions(). It is allocated whole
-	// at the drive's first oracle write, Dr x 8 B per row, and never with
-	// the oracle off; integPos is the slot position (chunk % Positions())
-	// every chunk looked up in it must have.
-	integ    []copyState
-	integPos int64
+	// corruption mark), allocated at the drive's first oracle write, Dr x
+	// 8 B per row, and never with the oracle off.
+	fresh       []freshness
+	missingRows int
+	integ       []copyState
+	pos         int64
 
 	refInFlight bool
 	// rec is this drive's observability slot, keyed by physical creation
@@ -341,10 +347,6 @@ type drive struct {
 	// failed marks a fail-stopped drive: it finishes its in-flight command
 	// and then accepts no further work.
 	failed bool
-	// missing marks chunks this drive holds no valid data for — a
-	// swapped-in spare before its rebuild reaches them, or chunks lost
-	// outright. Reads and writes steer around them.
-	missing map[int64]bool
 	// lastActive is the last time foreground work touched the drive; the
 	// idle-delay gate for background propagation measures from it.
 	lastActive des.Time
@@ -451,8 +453,7 @@ func New(sim *des.Sim, opts Options) (*Array, error) {
 	}
 	a := &Array{
 		sim: sim, opts: opts, lay: lay, nvramCap: opts.NVRAMEntries,
-		writeGate:  make(map[int64][]gateWaiter),
-		lostChunks: make(map[int64]bool),
+		writeGate: make(map[int64][]gateWaiter),
 	}
 	// The oracle runs whenever something can corrupt data or consult the
 	// check; otherwise committed stays nil and no path touches it.
@@ -479,7 +480,7 @@ func New(sim *des.Sim, opts Options) (*Array, error) {
 		if err != nil {
 			return nil, err
 		}
-		d := &drive{id: i, dsk: dsk, sched: sc, stale: make(map[int64]*chunkState)}
+		d := &drive{id: i, dsk: dsk, sched: sc}
 		d.kickFn = func() { a.kick(d) }
 		if opts.Prototype {
 			d.bus = bus.NewPrototype(sim, dsk, noise, opts.Seed+int64(i)*7919+1)
@@ -831,15 +832,15 @@ func (a *Array) extContiguous(prev, next disk.Extent) bool {
 	return err1 == nil && err2 == nil && pl+int64(prev.Count) == nl
 }
 
-// pieceFresh reports whether every mirror of the piece's chunk is intact:
-// a drive whose copy is gone (failed drive), not yet reconstructed
-// (rebuilding spare), or tainted (pending propagation, detected
-// corruption) makes freshness non-uniform across a merged range, so such
-// pieces must stay separate and route chunk-by-chunk.
+// pieceFresh reports whether every mirror holds the piece's chunk with no
+// copy tainted: a drive whose copy is gone (failed drive), not yet
+// reconstructed (rebuilding spare), or tainted (pending propagation,
+// detected corruption) makes freshness non-uniform across a merged range,
+// so such pieces must stay separate and route chunk-by-chunk.
 func (a *Array) pieceFresh(p *layout.Piece) bool {
 	for _, id := range p.Mirrors {
 		d := a.drives[id]
-		if d.failed || d.unreadable(p.Chunk) || d.stale[p.Chunk] != nil || a.anyKnownBad(d, p.Chunk) {
+		if !a.holds(d, p.Chunk) || a.tainted(d, p.Chunk) {
 			return false
 		}
 	}

@@ -160,7 +160,7 @@ func TestDelayedWriteLatencyAndPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := a.drives[pieces[0].Mirrors[0]]
-	mask := a.freshMask(d, pieces[0].Chunk)
+	mask := a.usableMask(d, pieces[0].Chunk, nil)
 	if mask == nil {
 		t.Fatal("no staleness recorded after first write copy")
 	}
@@ -180,7 +180,7 @@ func TestDelayedWriteLatencyAndPropagation(t *testing.T) {
 	if a.NVRAMUsed() != 0 {
 		t.Fatalf("NVRAM entries = %d after drain, want 0", a.NVRAMUsed())
 	}
-	if m := a.freshMask(d, pieces[0].Chunk); m != nil {
+	if m := a.usableMask(d, pieces[0].Chunk, nil); m != nil {
 		t.Fatalf("staleness survived propagation: %v", m)
 	}
 }
@@ -236,6 +236,13 @@ func TestForegroundWritesWaitForAllCopies(t *testing.T) {
 	// seek + R/6. The gap should be several milliseconds.
 	if fg-delayed < 2000 {
 		t.Fatalf("foreground-delayed gap %v, want > 2ms", fg-delayed)
+	}
+	// Foreground writes owe no propagation, so with no failure no drive
+	// allocates a freshness table.
+	for _, d := range aF.drives {
+		if d.fresh != nil {
+			t.Fatalf("drive %d allocated a freshness table under foreground writes", d.id)
+		}
 	}
 }
 

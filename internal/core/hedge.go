@@ -176,14 +176,14 @@ func (a *Array) fireHedge(hc *hedgeCtl) {
 		return
 	}
 	var best *drive
+	var buf [maxPoolReplicas]bool
 	bestRank, bestQ := 0, 0
 	for _, id := range hc.p.Mirrors {
 		d := a.drives[id]
-		if d == hc.primaryDrive || d.failed || d.unreadable(hc.p.Chunk) {
+		if d == hc.primaryDrive || !a.holds(d, hc.p.Chunk) {
 			continue
 		}
-		mask := a.readMask(d, hc.p.Chunk)
-		if mask != nil && !anyTrue(mask) {
+		if mask := a.usableMask(d, hc.p.Chunk, buf[:0]); mask != nil && !anyTrue(mask) {
 			continue
 		}
 		rank := 0
@@ -198,12 +198,13 @@ func (a *Array) fireHedge(hc *hedgeCtl) {
 	if best == nil {
 		return
 	}
+	// The request outlives this frame, so its mask gets a buffer of its own.
 	req := &sched.Request{
 		ID:              a.nextID(),
 		Arrive:          a.sim.Now(),
 		Hedged:          true,
 		Replicas:        replicasOf(hc.p),
-		AllowedReplicas: a.readMask(best, hc.p.Chunk),
+		AllowedReplicas: a.usableMask(best, hc.p.Chunk, nil),
 	}
 	if bestRank > 0 {
 		req.Penalty = SuspectPenalty
@@ -396,7 +397,7 @@ func (a *Array) admit(op Op, pieces []layout.Piece) error {
 		maxQ := 0
 		for _, id := range p.Mirrors {
 			d := a.drives[id]
-			if d.failed || d.unreadable(p.Chunk) {
+			if !a.holds(d, p.Chunk) {
 				continue
 			}
 			q := len(d.queue)

@@ -5,7 +5,7 @@ package core
 // logical I/O — the sched.Request (with its reqTag and replica slice), the
 // extent-run driving the bus commands, the userRequest holding the resolved
 // layout pieces, and for delayed writes the propagation bookkeeping
-// (delayedCopy / propEntry / chunkState). Each kind recycles through an
+// (delayedCopy / propEntry). Each kind recycles through an
 // intrusive free list on the Array: the array is single-goroutine by
 // construction (everything runs on its Sim), so the lists need no locking.
 //
@@ -418,32 +418,6 @@ func (a *Array) putEntry(e *propEntry) {
 	a.freeEntries = e
 }
 
-// getChunkState returns a chunkState with a zeroed staleCount sized to the
-// configuration's Dr.
-func (a *Array) getChunkState() *chunkState {
-	dr := a.opts.Config.Dr
-	cs := a.freeChunkStates
-	if cs == nil {
-		return &chunkState{staleCount: make([]int, dr)}
-	}
-	a.freeChunkStates = cs.next
-	cs.next = nil
-	if cap(cs.staleCount) < dr {
-		cs.staleCount = make([]int, dr)
-	} else {
-		cs.staleCount = cs.staleCount[:dr]
-		for i := range cs.staleCount {
-			cs.staleCount[i] = 0
-		}
-	}
-	return cs
-}
-
-func (a *Array) putChunkState(cs *chunkState) {
-	cs.next = a.freeChunkStates
-	a.freeChunkStates = cs
-}
-
 // tagDone runs a completed request's continuation: the kind-dispatched
 // equivalent of the old per-request onDone closures (cold paths keep the
 // closures under tagClosure).
@@ -548,13 +522,9 @@ func (a *Array) failTag(t *reqTag) (reused bool) {
 
 // allowedFresh is the live scheduling predicate of a delayed-mode first
 // write: while an earlier write to this chunk is still propagating, only
-// its fresh replica may take the new data, or the chunk could end up with
-// no up-to-date copy at all. Semantically identical to consulting
-// freshMask, without materializing the mask at every scheduler evaluation.
+// a replica with no propagation pending may take the new data, or the
+// chunk could end up with no up-to-date copy at all. It reads the stale
+// count alone: a known-corrupt replica may take a write.
 func (t *reqTag) allowedFresh(j int) bool {
-	cs := t.d.stale[t.p.Chunk]
-	if cs == nil {
-		return true
-	}
-	return cs.staleCount[j] == 0
+	return t.ur.a.freshAt(t.d, t.p.Chunk, j).pending() == 0
 }

@@ -184,14 +184,8 @@ func (a *Array) scrubTick(s *scrubState) {
 
 	d := a.drives[slot]
 	_, gated := a.writeGate[chunk]
-	skip := d.failed || d.unreadable(chunk) || gated
-	if !skip {
-		if m := a.freshMask(d, chunk); m != nil && !m[rep] {
-			// A pending propagation will rewrite this copy anyway.
-			skip = true
-		}
-	}
-	if skip {
+	// A copy with a propagation pending will be rewritten anyway.
+	if !a.holds(d, chunk) || gated || a.freshAt(d, chunk, rep).pending() > 0 {
 		a.scrubCtr.Skipped++
 		a.scrubNext()
 		return
@@ -259,15 +253,11 @@ func (a *Array) scrubSourceRead(s *scrubState, d *drive, chunk int64, rep int) {
 	srcRep := -1
 	for _, id := range p.Mirrors {
 		q := a.drives[id]
-		if q.failed || q.unreadable(chunk) {
+		if !a.holds(q, chunk) {
 			continue
 		}
-		mask := a.readMask(q, chunk)
 		for j := 0; j < a.opts.Config.Dr; j++ {
-			if q == d && j == rep {
-				continue
-			}
-			if mask != nil && !mask[j] {
+			if q == d && j == rep || !a.usable(q, chunk, j) {
 				continue
 			}
 			src, srcRep = q, j

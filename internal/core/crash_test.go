@@ -306,7 +306,8 @@ func a2digest(rec RecoveryCounters, now des.Time) string {
 
 // TestCrashDuringRebuildResumes: a power failure mid-reconstruction must
 // not strand the spare — recovery picks the rebuild back up from the
-// missing-chunk set and finishes it.
+// missing-chunk set and finishes it, and the rebuild counters see one
+// rebuild started and done.
 func TestCrashDuringRebuildResumes(t *testing.T) {
 	sim, a := crashArray(t, Volatile, func(o *Options) {
 		o.Spares = 1
@@ -365,6 +366,11 @@ func TestCrashDuringRebuildResumes(t *testing.T) {
 	}
 	if a.LostChunks() != 0 {
 		t.Fatalf("%d chunks lost with a surviving mirror", a.LostChunks())
+	}
+	// The resumed rebuild is the one the fail-stop started.
+	if fc := a.Faults(); fc.RebuildsStarted != 1 || fc.RebuildsDone != 1 {
+		t.Fatalf("RebuildsStarted %d, RebuildsDone %d after one rebuild interrupted and finished; want 1 and 1",
+			fc.RebuildsStarted, fc.RebuildsDone)
 	}
 	reconcileRecovery(t, a)
 }

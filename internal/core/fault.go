@@ -27,7 +27,9 @@ type FaultCounters struct {
 	// with Failed set — data loss visible to the caller.
 	FailedReads  int64
 	FailedWrites int64
-	// RebuildsStarted and RebuildsDone count hot-spare rebuilds.
+	// RebuildsStarted and RebuildsDone count hot-spare rebuilds: one start
+	// per spare swapped in (a rebuild resumed after a crash is not a new
+	// start), one completion per rebuild that finished.
 	RebuildsStarted int64
 	RebuildsDone    int64
 	// LostChunks counts chunks a rebuild could not reconstruct from any

@@ -139,7 +139,7 @@ func TestBackgroundPacingPinned(t *testing.T) {
 
 	h := fnv.New64a()
 	h.Write([]byte(log.String()))
-	const want = "5b8fe05ef59d3f97"
+	const want = "fed0718f7135b322"
 	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
 		t.Errorf("background pacing digest %s, want %s; timeline:\n%s", got, want, log.String())
 	}

@@ -126,23 +126,38 @@ func TestBigArrayBatchPrimesSameLoad(t *testing.T) {
 // release — and requires byte-identical output to the unpoisoned run. Any
 // read of a stale pooled object surfaces as a panic or a diverged figure.
 // Figure 12 is read-only; Figure 6 replays the Cello trace through
-// delayed-mode writes, whose requests recycle too. The fault-tolerance
-// experiments run at the golden test's scale with the integrity oracle on
-// in their bricks (crash injection, corruption, scrubbing); fail-slow runs
-// at its default scale, where hedges win, lose and are cancelled.
+// delayed-mode writes, whose requests recycle too; Table 2 replays it in
+// prototype mode, where the head trackers' reference reads share the drive
+// queues. The fault-tolerance experiments run at the golden test's scale
+// with the integrity oracle on in their bricks (crash injection,
+// corruption, scrubbing); fail-slow runs at its default scale, where hedges
+// win, lose and are cancelled.
 func TestPoolPoisoningPreservesFigures(t *testing.T) {
 	cfg := Config{TraceIOs: 600, IometerIOs: 300, Seed: 1}
 	golden := Config{TraceIOs: 600, IometerIOs: 200, Seed: 1}
+	render := func(f *Figure, err error) (string, error) {
+		if err != nil {
+			return "", err
+		}
+		return f.Render(), nil
+	}
 	for _, fig := range []struct {
 		name string
-		run  func() (*Figure, error)
+		run  func() (string, error)
 	}{
-		{"fig12", func() (*Figure, error) { return Figure12(cfg) }},
-		{"fig6-cello-base", func() (*Figure, error) { return Figure6(cfg, "cello-base") }},
-		{"chaos", func() (*Figure, error) { return Chaos(golden) }},
-		{"scrub", func() (*Figure, error) { return Scrub(golden) }},
-		{"brick-loss", func() (*Figure, error) { return BrickLoss(golden) }},
-		{"fail-slow", func() (*Figure, error) { return FailSlow(Config{IometerIOs: 2500, Seed: 1}) }},
+		{"fig12", func() (string, error) { return render(Figure12(cfg)) }},
+		{"fig6-cello-base", func() (string, error) { return render(Figure6(cfg, "cello-base")) }},
+		{"table2", func() (string, error) {
+			r, err := Table2(cfg)
+			if err != nil {
+				return "", err
+			}
+			return r.String(), nil
+		}},
+		{"chaos", func() (string, error) { return render(Chaos(golden)) }},
+		{"scrub", func() (string, error) { return render(Scrub(golden)) }},
+		{"brick-loss", func() (string, error) { return render(BrickLoss(golden)) }},
+		{"fail-slow", func() (string, error) { return render(FailSlow(Config{IometerIOs: 2500, Seed: 1})) }},
 	} {
 		t.Run(fig.name, func(t *testing.T) {
 			clean, err := fig.run()
@@ -154,9 +169,8 @@ func TestPoolPoisoningPreservesFigures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if clean.Render() != poisoned.Render() {
-				t.Fatalf("pool poisoning changed figure output:\n--- clean ---\n%s--- poisoned ---\n%s",
-					clean.Render(), poisoned.Render())
+			if clean != poisoned {
+				t.Fatalf("pool poisoning changed figure output:\n--- clean ---\n%s--- poisoned ---\n%s", clean, poisoned)
 			}
 		})
 	}

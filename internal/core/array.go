@@ -975,10 +975,6 @@ func (a *Array) FailDrive(i int) error {
 	for _, req := range queue {
 		tag := req.Tag.(*reqTag)
 		tag.offQueue = true
-		if tag.ref {
-			d.refInFlight = false
-			continue
-		}
 		if g := tag.group; g != nil && !g.claimed {
 			// Duplicates on surviving drives keep the request alive; just
 			// forget this member.
@@ -990,14 +986,11 @@ func (a *Array) FailDrive(i int) error {
 			}
 			g.members = live
 			if len(g.members) > 0 {
-				if tag.pr != nil {
-					a.putReq(tag.pr)
-				}
+				a.putReq(tag.pr)
 				continue
 			}
 		}
-		reused := a.failTag(tag)
-		if !reused && tag.pr != nil {
+		if !a.failTag(tag) {
 			a.putReq(tag.pr)
 		}
 	}

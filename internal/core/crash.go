@@ -246,20 +246,38 @@ func (a *Array) crashRun(r *extentRun, inFlight bool) {
 		a.putReq(pr)
 		return
 	}
+	a.crashTag(d, req.Tag.(*reqTag), torn, choice.Replica)
+}
+
+// crashQueued resolves one request still in a drive's foreground queue:
+// it never reached the media, so it fails with ErrCrashed (once per
+// logical piece — duplicate groups resolve on their first-visited member).
+func (a *Array) crashQueued(d *drive, req *sched.Request) {
 	tag := req.Tag.(*reqTag)
+	if g := tag.group; g != nil && !g.claimed {
+		// First member visited resolves the piece; the rest are removed from
+		// their (still-live) queues so later drive sweeps never see them.
+		g.claimed = true
+		for _, m := range g.members {
+			if m.req == req {
+				continue
+			}
+			mt := m.req.Tag.(*reqTag)
+			mt.offQueue = true
+			removeFromQueue(m.d, m.req)
+			a.putReq(mt.pr)
+		}
+		g.members = nil
+	}
+	a.crashTag(d, tag, false, 0)
+}
+
+// crashTag runs a request's crash continuation and releases it. torn
+// reports a write torn on the mechanism, which poisons its target copy
+// (chosen is the replica a first write was dispatched to).
+func (a *Array) crashTag(d *drive, tag *reqTag, torn bool, chosen int) {
 	tag.offQueue = true
 	switch tag.kind {
-	case tagClosure:
-		// Hedge duplicates crash their controller and reference reads clear
-		// their latch; scrub/rebuild reads and NVRAM-adoption writes are
-		// dropped outright — their owners were torn down and restart from
-		// scratch at recovery.
-		if tag.hedgeOf != nil {
-			tag.hedgeOf.crash()
-		}
-		if tag.ref {
-			d.refInFlight = false
-		}
 	case tagRead:
 		if tag.hc != nil {
 			tag.hc.crash()
@@ -273,7 +291,7 @@ func (a *Array) crashRun(r *extentRun, inFlight bool) {
 		a.crashFG(tag.fg)
 	case tagFirstWrite:
 		if torn {
-			a.poisonCopy(d, tag.p.Chunk, choice.Replica)
+			a.poisonCopy(d, tag.p.Chunk, chosen)
 		}
 		tag.ur.pieceFailed(ErrCrashed)
 	case tagPromote:
@@ -282,64 +300,17 @@ func (a *Array) crashRun(r *extentRun, inFlight bool) {
 		}
 		a.finishCopy(d, tag.dc, false, bus.Completion{})
 		a.putCopy(tag.dc)
-	}
-	if tag.pr != nil {
-		a.putReq(tag.pr)
-	}
-}
-
-// crashQueued resolves one request still in a drive's foreground queue:
-// it never reached the media, so it fails with ErrCrashed (once per
-// logical piece — duplicate groups resolve on their first-visited member).
-func (a *Array) crashQueued(d *drive, req *sched.Request) {
-	tag := req.Tag.(*reqTag)
-	tag.offQueue = true
-	if tag.ref {
+	case tagRef:
 		d.refInFlight = false
-		if tag.pr != nil {
-			a.putReq(tag.pr)
-		}
-		return
+	case tagHedge:
+		tag.hedgeOf.crash()
+	case tagRebuildRead, tagScrubRead, tagScrubSource, tagAdopt:
+		// Dropped outright: their owners were torn down and restart from
+		// scratch at recovery.
+	default:
+		panic("core: crash of a recycled request tag")
 	}
-	if g := tag.group; g != nil && !g.claimed {
-		// First member visited resolves the piece; the rest are removed from
-		// their (still-live) queues so later drive sweeps never see them.
-		g.claimed = true
-		for _, m := range g.members {
-			if m.req == req {
-				continue
-			}
-			mt := m.req.Tag.(*reqTag)
-			mt.offQueue = true
-			removeFromQueue(m.d, m.req)
-			if mt.pr != nil {
-				a.putReq(mt.pr)
-			}
-		}
-		g.members = nil
-	}
-	switch tag.kind {
-	case tagClosure:
-		if tag.hedgeOf != nil {
-			tag.hedgeOf.crash()
-		}
-	case tagRead:
-		if tag.hc != nil {
-			tag.hc.crash()
-		} else {
-			tag.ur.pieceFailed(ErrCrashed)
-		}
-	case tagFGWrite:
-		a.crashFG(tag.fg)
-	case tagFirstWrite:
-		tag.ur.pieceFailed(ErrCrashed)
-	case tagPromote:
-		a.finishCopy(d, tag.dc, false, bus.Completion{})
-		a.putCopy(tag.dc)
-	}
-	if tag.pr != nil {
-		a.putReq(tag.pr)
-	}
+	a.putReq(tag.pr)
 }
 
 // crashFG counts one copy of a foreground-mode write down at the crash.

@@ -10,7 +10,6 @@ import (
 	"repro/internal/des"
 	"repro/internal/disk"
 	"repro/internal/layout"
-	"repro/internal/sched"
 )
 
 // freshness is one copy's entry in its drive's freshness table, which is
@@ -295,7 +294,7 @@ func (a *Array) submitWriteGated(ur *userRequest, p *layout.Piece) {
 		req.Write = true
 		req.Arrive = a.sim.Now()
 		req.Replicas = fillReplicas(pr, p)
-		// Evaluated live at scheduling time (see reqTag.allowedFresh).
+		// Evaluated live at scheduling time (see pooledReq.allowed).
 		req.AllowedFn = pr.allowedFn
 		pr.tag.kind = tagFirstWrite
 		pr.tag.group = g
@@ -663,30 +662,20 @@ func (a *Array) AdoptNVRAM(snapshot []byte) (int, error) {
 			if d.failed {
 				continue
 			}
-			rep := int(e.Replica)
-			var ver uint64
+			pr := a.getReq()
 			if a.integrity {
-				ver = a.nextVersion()
+				pr.tag.ver = a.nextVersion()
 			}
-			covers := a.coversChunk(p.Chunk, p.Off, p.Count)
-			req := &sched.Request{
-				ID:       a.nextID(),
-				Write:    true,
-				Arrive:   a.sim.Now(),
-				Replicas: []sched.Replica{{Extents: p.Replicas[rep]}},
-			}
-			req.Tag = &reqTag{
-				onDone: func(last bus.Completion, _ int) {
-					a.noteCopyWritten(d, p.Chunk, rep, ver, covers, last)
-				},
-				onFail: func() {
-					// Recovery writes must land while the drive lives.
-					if !d.failed {
-						req.Arrive = a.sim.Now()
-						a.enqueue(d, req)
-					}
-				},
-			}
+			req := &pr.req
+			req.ID = a.nextID()
+			req.Write = true
+			req.Arrive = a.sim.Now()
+			req.Replicas = fillReplicas1(pr, p.Replicas[e.Replica])
+			pr.tag.kind = tagAdopt
+			pr.tag.d = d
+			pr.tag.p = p
+			pr.tag.rep = int(e.Replica)
+			pr.tag.covers = a.coversChunk(p.Chunk, p.Off, p.Count)
 			a.enqueue(d, req)
 			n++
 		}

@@ -35,24 +35,13 @@ func opOf(req *sched.Request) obs.Op {
 	return obs.OpRead
 }
 
-// reqTag is the array-layer bookkeeping riding on each sched.Request. Hot
-// paths set kind plus the context fields below and dispatch through
-// Array.tagDone/failTag; cold paths keep the zero kind (tagClosure) with
-// per-request closures.
+// reqTag is the array-layer bookkeeping riding on each sched.Request: a
+// kind plus the context fields its continuations (Array.tagDone, failTag,
+// crashTag) read.
 type reqTag struct {
-	// kind selects the completion/failure continuation (see pool.go).
+	// kind selects the continuations (see pool.go).
 	kind  tagKind
 	group *dupGroup
-	// onDone runs when the dispatched request fully completes (all extents
-	// transferred). chosenReplica is the replica the scheduler picked.
-	// Only consulted under tagClosure.
-	onDone func(last bus.Completion, chosenReplica int)
-	// onFail runs when a drive failure leaves the request with no copy to
-	// read or write; nil means the failure is silently absorbed (delayed
-	// propagation copies). Only consulted under tagClosure.
-	onFail func()
-	// ref marks head-tracking reference reads.
-	ref bool
 	// hc, when non-nil, is the hedge controller of this foreground read:
 	// dispatching the request arms the hedge timer.
 	hc *hedgeCtl
@@ -63,8 +52,7 @@ type reqTag struct {
 	// dispatch or drive failure), so an expired ReadDeadline is a no-op.
 	offQueue bool
 
-	// pr points back to the pooled request this tag is embedded in; nil for
-	// heap-allocated (cold path) requests, which are never recycled.
+	// pr points back to the pooled request this tag is embedded in.
 	pr *pooledReq
 	// gen counts the pooled request's lives. A deadline event captures the
 	// generation it was armed against and becomes a no-op once the request
@@ -77,6 +65,11 @@ type reqTag struct {
 	rep int
 	fg  *fgWrite
 	dc  *delayedCopy
+	rb  *rebuildState
+	// ver and covers are an NVRAM-adoption copy's content version and
+	// whether its write covers the chunk.
+	ver    uint64
+	covers bool
 }
 
 // dupGroup links duplicate copies of one read enqueued on several mirror
@@ -196,23 +189,14 @@ func (a *Array) enqueueRef(d *drive) {
 	if err != nil {
 		panic(fmt.Sprintf("core: reference sector unmappable: %v", err))
 	}
-	req := &sched.Request{
-		ID:       a.nextID(),
-		Arrive:   a.sim.Now(),
-		Priority: true,
-		Replicas: []sched.Replica{{Extents: []disk.Extent{{Start: p, Count: cmd.Count}}}},
-		Tag: &reqTag{
-			ref: true,
-			onDone: func(last bus.Completion, _ int) {
-				d.trk.Observe(last)
-				d.refInFlight = false
-			},
-			// A faulted reference read is simply dropped — the tracker
-			// retries at the next due time — but the in-flight latch must
-			// clear or head tracking stops forever.
-			onFail: func() { d.refInFlight = false },
-		},
-	}
+	pr := a.getReq()
+	req := &pr.req
+	req.ID = a.nextID()
+	req.Arrive = a.sim.Now()
+	req.Priority = true
+	req.Replicas = fillReplicas1(pr, []disk.Extent{{Start: p, Count: cmd.Count}})
+	pr.tag.kind = tagRef
+	pr.tag.d = d
 	d.queue = append(d.queue, req)
 }
 
@@ -235,9 +219,7 @@ func (a *Array) dispatch(d *drive, choice sched.Choice) {
 				removeFromQueue(m.d, m.req)
 				// The cancelled loser can never be referenced again (the
 				// deadline event checks g.claimed before touching members).
-				if mt := m.req.Tag.(*reqTag); mt.pr != nil {
-					a.putReq(mt.pr)
-				}
+				a.putReq(m.req.Tag.(*reqTag).pr)
 			}
 		}
 		g.members = nil
@@ -338,7 +320,7 @@ func (a *Array) finishRun(r *extentRun, last bus.Completion, clean bool) {
 			}
 			reused := a.failTag(tag)
 			a.kick(d)
-			if !reused && tag.pr != nil {
+			if !reused {
 				a.putReq(tag.pr)
 			}
 			return
@@ -370,9 +352,7 @@ func (a *Array) finishRun(r *extentRun, last bus.Completion, clean bool) {
 		}
 		a.tagDone(tag, last, choice.Replica)
 		a.kick(d)
-		if tag.pr != nil {
-			a.putReq(tag.pr)
-		}
+		a.putReq(tag.pr)
 	case runDelayed:
 		if d.rec != nil {
 			// Propagation bypasses the foreground queue, so its queue delay
@@ -401,9 +381,7 @@ func (a *Array) finishRun(r *extentRun, last bus.Completion, clean bool) {
 			d.delayed = slices.Insert(d.delayed, 0, c)
 		}
 		a.kick(d)
-		if pr != nil {
-			a.putReq(pr)
-		}
+		a.putReq(pr)
 	}
 }
 
@@ -579,9 +557,8 @@ func (a *Array) submitRead(ur *userRequest, p *layout.Piece) {
 	}
 }
 
-// mkReadReq builds one pooled read copy for a candidate drive. Completion
-// and failure route through tagRead in pool.go — the same continuations the
-// old per-request closures carried.
+// mkReadReq builds one pooled read copy for a candidate drive; its
+// continuations are tagRead's (pool.go).
 func (a *Array) mkReadReq(ur *userRequest, p *layout.Piece, c readCand, g *dupGroup, hc *hedgeCtl) *sched.Request {
 	pr := a.getReq()
 	req := &pr.req
@@ -625,15 +602,6 @@ func (a *Array) bestAccess(d *drive, p *layout.Piece, tainted bool) des.Time {
 		}
 	}
 	return best
-}
-
-// replicasOf converts a layout piece to scheduler replicas.
-func replicasOf(p *layout.Piece) []sched.Replica {
-	out := make([]sched.Replica, len(p.Replicas))
-	for j, exts := range p.Replicas {
-		out[j] = sched.Replica{Extents: exts}
-	}
-	return out
 }
 
 func anyTrue(mask []bool) bool {

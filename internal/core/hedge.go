@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/bus"
 	"repro/internal/des"
 	"repro/internal/layout"
 	"repro/internal/sched"
@@ -150,10 +149,9 @@ type hedgeCtl struct {
 	primaryGone bool
 	// hedgeLive: a hedge was issued and has not yet terminated.
 	hedgeLive bool
-	// hedgeReq is non-nil while the hedge sits undispatched in
-	// hedgeDrive's queue (the window where it can be cancelled).
-	hedgeReq     *sched.Request
-	hedgeDrive   *drive
+	// hedgeReq is non-nil while the hedge sits undispatched in its drive's
+	// queue (the window where it can be cancelled).
+	hedgeReq     *pooledReq
 	primaryDrive *drive
 }
 
@@ -198,38 +196,24 @@ func (a *Array) fireHedge(hc *hedgeCtl) {
 	if best == nil {
 		return
 	}
-	// The request outlives this frame, so its mask gets a buffer of its own.
-	req := &sched.Request{
-		ID:              a.nextID(),
-		Arrive:          a.sim.Now(),
-		Hedged:          true,
-		Replicas:        replicasOf(hc.p),
-		AllowedReplicas: a.usableMask(best, hc.p.Chunk, nil),
-	}
+	pr := a.getReq()
+	req := &pr.req
+	req.ID = a.nextID()
+	req.Arrive = a.sim.Now()
+	req.Hedged = true
+	req.Replicas = fillReplicas(pr, hc.p)
+	req.AllowedReplicas = a.usableMask(best, hc.p.Chunk, pr.mask[:0])
 	if bestRank > 0 {
 		req.Penalty = SuspectPenalty
 	}
-	req.Tag = &reqTag{
-		hedgeOf: hc,
-		onDone: func(last bus.Completion, chosen int) {
-			// Hedges verify like primaries: a corrupt winner must not
-			// answer the caller.
-			bad := a.integrity && a.checkPieceRead(best, hc.p, chosen, last)
-			if bad && a.opts.VerifyReads {
-				a.noteDetected(best, hc.p, chosen)
-				hc.hedgeFail()
-				return
-			}
-			hc.hedgeDone(bad)
-		},
-		onFail: func() { hc.hedgeFail() },
-	}
+	pr.tag.kind = tagHedge
+	pr.tag.hedgeOf = hc
+	pr.tag.d = best
 	// From here the piece has two readers, and the loser reads it after the
 	// winner completed it: keep the request's arena out of the pool.
 	hc.ur.noRecycle = true
 	hc.hedgeLive = true
-	hc.hedgeReq = req
-	hc.hedgeDrive = best
+	hc.hedgeReq = pr
 	a.hedges.Issued++
 	if a.obsRec != nil {
 		a.obsRec.HedgesIssued++
@@ -331,7 +315,8 @@ func (hc *hedgeCtl) cancelHedge() {
 	hc.hedgeLive = false
 	a := hc.a
 	if hc.hedgeReq != nil {
-		removeFromQueue(hc.hedgeDrive, hc.hedgeReq)
+		removeFromQueue(hc.hedgeReq.tag.d, &hc.hedgeReq.req)
+		a.putReq(hc.hedgeReq)
 		hc.hedgeReq = nil
 		a.hedges.Cancelled++
 		if a.obsRec != nil {
@@ -457,9 +442,7 @@ func (a *Array) armDeadline(ur *userRequest, p *layout.Piece, g *dupGroup, d *dr
 			}
 			for _, m := range g.members {
 				removeFromQueue(m.d, m.req)
-				if mt := m.req.Tag.(*reqTag); mt.pr != nil {
-					a.putReq(mt.pr)
-				}
+				a.putReq(m.req.Tag.(*reqTag).pr)
 			}
 			g.members = nil
 			g.claimed = true // nothing may dispatch this group anymore
@@ -469,9 +452,7 @@ func (a *Array) armDeadline(ur *userRequest, p *layout.Piece, g *dupGroup, d *dr
 			}
 			tag.offQueue = true
 			removeFromQueue(d, req)
-			if tag.pr != nil {
-				a.putReq(tag.pr)
-			}
+			a.putReq(tag.pr)
 		}
 		a.sheds.Deadline++
 		if a.obsRec != nil {

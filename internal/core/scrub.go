@@ -3,9 +3,8 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/bus"
 	"repro/internal/des"
-	"repro/internal/sched"
+	"repro/internal/layout"
 )
 
 // The background scrubber closes the window verify-on-read leaves open:
@@ -190,47 +189,23 @@ func (a *Array) scrubTick(s *scrubState) {
 		a.scrubNext()
 		return
 	}
-	a.issueScrubRead(s, d, slot, chunk, rep)
+	a.issueScrubRead(d, a.chunkPiece(chunk), rep, tagScrubRead)
 }
 
-// issueScrubRead reads one chunk copy (Background class, pinned to the
-// replica under test) and consults the oracle on completion.
-func (a *Array) issueScrubRead(s *scrubState, d *drive, slot int, chunk int64, rep int) {
-	p := a.chunkPiece(chunk)
-	req := &sched.Request{
-		ID:         a.nextID(),
-		Arrive:     a.sim.Now(),
-		Background: true,
-		Replicas:   []sched.Replica{{Extents: p.Replicas[rep]}},
-	}
-	req.Tag = &reqTag{
-		onDone: func(last bus.Completion, _ int) {
-			if d.failed {
-				// The drive died under the read; its copies are gone, not
-				// corrupt.
-				a.scrubCtr.Skipped++
-				a.scrubNext()
-				return
-			}
-			if a.checkPieceRead(d, p, rep, last) {
-				a.scrubCtr.Corrupt++
-				if a.obsRec != nil {
-					a.obsRec.ScrubCorrupt++
-				}
-				a.scrubSourceRead(s, d, chunk, rep)
-				return
-			}
-			a.scrubCtr.Verified++
-			if a.obsRec != nil {
-				a.obsRec.ScrubVerified++
-			}
-			a.scrubNext()
-		},
-		onFail: func() {
-			a.scrubCtr.Faulted++
-			a.scrubNext()
-		},
-	}
+// issueScrubRead reads one copy of the chunk piece p (Background class,
+// pinned to replica rep) as a verify read or a repair-source read (kind);
+// its completion consults the oracle.
+func (a *Array) issueScrubRead(d *drive, p *layout.Piece, rep int, kind tagKind) {
+	pr := a.getReq()
+	req := &pr.req
+	req.ID = a.nextID()
+	req.Arrive = a.sim.Now()
+	req.Background = true
+	req.Replicas = fillReplicas1(pr, p.Replicas[rep])
+	pr.tag.kind = kind
+	pr.tag.d = d
+	pr.tag.p = p
+	pr.tag.rep = rep
 	a.enqueue(d, req)
 }
 
@@ -238,7 +213,7 @@ func (a *Array) issueScrubRead(s *scrubState, d *drive, slot int, chunk int64, r
 // from a clean source before queueing the in-place rewrite — the repair
 // has to read the good data from somewhere, and that read is itself
 // verified.
-func (a *Array) scrubSourceRead(s *scrubState, d *drive, chunk int64, rep int) {
+func (a *Array) scrubSourceRead(d *drive, chunk int64, rep int) {
 	if !a.condemnWrong(d, chunk, rep, originScrub) {
 		// Transient path corruption (the media is fine) or a copy already
 		// condemned with a repair pending: nothing further to do.
@@ -271,32 +246,7 @@ func (a *Array) scrubSourceRead(s *scrubState, d *drive, chunk int64, rep int) {
 		a.scrubNext()
 		return
 	}
-	req := &sched.Request{
-		ID:         a.nextID(),
-		Arrive:     a.sim.Now(),
-		Background: true,
-		Replicas:   []sched.Replica{{Extents: p.Replicas[srcRep]}},
-	}
-	req.Tag = &reqTag{
-		onDone: func(last bus.Completion, _ int) {
-			if !src.failed && a.checkPieceRead(src, p, srcRep, last) {
-				// The would-be source is divergent too: condemn it and keep
-				// looking.
-				a.scrubCtr.Corrupt++
-				if a.obsRec != nil {
-					a.obsRec.ScrubCorrupt++
-				}
-				a.scrubSourceRead(s, src, chunk, srcRep)
-				return
-			}
-			a.scrubNext()
-		},
-		onFail: func() {
-			a.scrubCtr.Faulted++
-			a.scrubNext()
-		},
-	}
-	a.enqueue(src, req)
+	a.issueScrubRead(src, p, srcRep, tagScrubSource)
 }
 
 // scrubPassDone retires a finished pass: rewind the cursors for the next

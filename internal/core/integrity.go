@@ -243,6 +243,7 @@ func (a *Array) condemnWrong(d *drive, chunk int64, rep int, origin repairOrigin
 	}
 	a.copyOf(d, chunk, rep).setBad(badKnown)
 	a.queueRepair(d, chunk, rep, origin)
+	a.recheckRebuildRead(d, chunk)
 	return true
 }
 

@@ -552,3 +552,58 @@ func TestRebuildWithFaultInjection(t *testing.T) {
 		t.Fatalf("slot 3 = %v", a.DriveState(3))
 	}
 }
+
+// TestCondemnedRebuildSourceLosesChunk: a verified read condemns the only
+// source copy of a chunk after the rebuild's source read for it was queued.
+// The queued read then admits no replica, so Pick skips it for good; the
+// rebuild must fail it over, find no source left, count the chunk lost and
+// release the chunk's write gate, so the rebuild finishes and a later
+// write to the chunk completes.
+func TestCondemnedRebuildSourceLosesChunk(t *testing.T) {
+	_, a := newArray(t, layout.Mirror(2), "satf", func(o *Options) {
+		o.DataSectors = 16 * layout.DefaultStripeUnit
+		o.Spares = 1
+		o.VerifyReads = true
+		o.RebuildMBps = 100
+	})
+	// A read of chunk 0 goes straight to an idle mirror; its copy there
+	// rots under the read, so the verify check will condemn it.
+	var read Result
+	if err := a.Submit(Read, 0, 8, false, func(r Result) { read = r }); err != nil {
+		t.Fatal(err)
+	}
+	src := a.drives[0]
+	if !src.bus.Busy() {
+		src = a.drives[1]
+	}
+	a.poisonCopy(src, 0, 0)
+	// Failing the other mirror starts the rebuild at chunk 0: its source
+	// read queues behind the verified read on the only surviving copy.
+	if err := a.FailDrive(1 - src.id); err != nil {
+		t.Fatal(err)
+	}
+	if len(src.queue) != 1 || src.queue[0].Tag.(*reqTag).kind != tagRebuildRead {
+		t.Fatalf("source drive queue %d requests, want the rebuild read alone", len(src.queue))
+	}
+	if !a.Drain(des.Hour) {
+		_, gated := a.writeGate[0]
+		t.Fatalf("rebuild wedged: %+v, chunk 0's write gate held: %v", a.RebuildProgress(), gated)
+	}
+	if !errors.Is(read.Err, ErrDataLost) {
+		t.Fatalf("condemned read: %+v, want ErrDataLost", read)
+	}
+	f := a.Faults()
+	if f.LostChunks != 1 || f.RebuildsDone != 1 || a.LostChunks() != 1 {
+		t.Fatalf("lost %d chunks (%d distinct), %d rebuilds done; want 1, 1, 1", f.LostChunks, a.LostChunks(), f.RebuildsDone)
+	}
+	if _, gated := a.writeGate[0]; gated {
+		t.Fatal("chunk 0's write gate still held after the rebuild")
+	}
+	var write *Result
+	if err := a.Submit(Write, 0, 8, false, func(r Result) { write = &r }); err != nil {
+		t.Fatal(err)
+	}
+	if !a.Drain(des.Hour) || write == nil || write.Failed {
+		t.Fatalf("write after the loss: %+v", write)
+	}
+}

@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -25,29 +27,39 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "mimdraid:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and runs the requested experiments, printing to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("mimdraid", flag.ExitOnError)
 	var (
-		exp        = flag.String("exp", "", "experiment name, or 'all'")
-		list       = flag.Bool("list", false, "list experiment names")
-		traceIOs   = flag.Int("trace-ios", 3000, "I/Os per macro (trace replay) data point")
-		iometerIOs = flag.Int("iometer-ios", 2500, "I/Os per micro (closed loop) data point")
-		seed       = flag.Int64("seed", 1, "random seed")
-		format     = flag.String("format", "table", "figure output format: table | csv | json")
-		jsonOut    = flag.Bool("json", false, "shorthand for -format json")
-		metricsOut = flag.String("metrics-out", "", "write the observability registry snapshot (JSON) to this file")
-		traceOut   = flag.String("trace-out", "", "write per-request trace records (JSONL) to this file")
-		traceCap   = flag.Int("trace-cap", 4096, "per-drive trace ring capacity for -trace-out")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		timing     = flag.Bool("time", false, "print wall time per experiment")
-		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0),
+		exp        = fs.String("exp", "", "experiment name, or 'all'")
+		list       = fs.Bool("list", false, "list experiment names")
+		traceIOs   = fs.Int("trace-ios", 3000, "I/Os per macro (trace replay) data point")
+		iometerIOs = fs.Int("iometer-ios", 2500, "I/Os per micro (closed loop) data point")
+		seed       = fs.Int64("seed", 1, "random seed")
+		format     = fs.String("format", "table", "figure output format: table | csv | json")
+		jsonOut    = fs.Bool("json", false, "shorthand for -format json")
+		metricsOut = fs.String("metrics-out", "", "write the observability registry snapshot (JSON) to this file")
+		traceOut   = fs.String("trace-out", "", "write per-request trace records (JSONL) to this file")
+		traceCap   = fs.Int("trace-cap", 4096, "per-drive trace ring capacity for -trace-out")
+		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+		timing     = fs.Bool("time", false, "print wall time per experiment")
+		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0),
 			"simulation jobs to run concurrently (1 = sequential; results are identical at any setting)")
-		shards = flag.Int("shards", runtime.GOMAXPROCS(0),
+		shards = fs.Int("shards", runtime.GOMAXPROCS(0),
 			"epoch workers for sharded multi-brick simulations like -exp bigarray (1 = the sequential legacy path; results are identical at any setting)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	runner.SetParallelism(*parallel)
 	if _, err := des.SetShardWorkers(*shards); err != nil {
-		fmt.Fprintf(os.Stderr, "mimdraid: -shards %d: %v\n", *shards, err)
-		os.Exit(2)
+		return fmt.Errorf("-shards %d: %w", *shards, err)
 	}
 
 	if *pprofAddr != "" {
@@ -60,13 +72,12 @@ func main() {
 
 	if *list {
 		for _, n := range experiments.Names() {
-			fmt.Println(n)
+			fmt.Fprintln(stdout, n)
 		}
-		return
+		return nil
 	}
 	if *exp == "" {
-		fmt.Fprintln(os.Stderr, "usage: mimdraid -exp <name>|all   (or -list)")
-		os.Exit(2)
+		return errors.New("usage: mimdraid -exp <name>|all   (or -list)")
 	}
 	cfg := experiments.Config{TraceIOs: *traceIOs, IometerIOs: *iometerIOs, Seed: *seed, Format: *format}
 	if *jsonOut {
@@ -94,45 +105,39 @@ func main() {
 		start := time.Now()
 		out, err := experiments.Run(name, cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		fmt.Println(out)
+		fmt.Fprintln(stdout, out)
 		if *timing {
-			fmt.Printf("  [%s took %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+			fmt.Fprintf(stdout, "  [%s took %v]\n\n", name, time.Since(start).Round(time.Millisecond))
 		}
 	}
 	if *timing && len(names) > 1 {
-		fmt.Printf("[%d experiments took %v at -parallel %d]\n",
+		fmt.Fprintf(stdout, "[%d experiments took %v at -parallel %d]\n",
 			len(names), time.Since(total).Round(time.Millisecond), runner.Parallelism())
 	}
 
-	if reg != nil {
-		if *metricsOut != "" {
-			snap, err := reg.Snapshot()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "metrics-out: %v\n", err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*metricsOut, snap, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "metrics-out: %v\n", err)
-				os.Exit(1)
-			}
+	if *metricsOut != "" {
+		snap, err := reg.Snapshot()
+		if err != nil {
+			return fmt.Errorf("metrics-out: %w", err)
 		}
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "trace-out: %v\n", err)
-				os.Exit(1)
-			}
-			if err := reg.WriteTraceJSONL(f); err != nil {
-				fmt.Fprintf(os.Stderr, "trace-out: %v\n", err)
-				os.Exit(1)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "trace-out: %v\n", err)
-				os.Exit(1)
-			}
+		if err := os.WriteFile(*metricsOut, snap, 0o644); err != nil {
+			return fmt.Errorf("metrics-out: %w", err)
 		}
 	}
+	if *traceOut != "" {
+		f, err := os.Create(*traceOut)
+		if err != nil {
+			return fmt.Errorf("trace-out: %w", err)
+		}
+		err = reg.WriteTraceJSONL(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return fmt.Errorf("trace-out: %w", err)
+		}
+	}
+	return nil
 }

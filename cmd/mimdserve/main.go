@@ -35,6 +35,7 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -49,36 +50,47 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "mimdserve:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and runs one of the three modes, printing to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("mimdserve", flag.ExitOnError)
 	var (
-		addr  = flag.String("addr", "localhost:8077", "serve mode: HTTP listen address")
-		load  = flag.Bool("load", false, "run the deterministic load generator instead of serving")
-		smoke = flag.Bool("smoke", false, "run a small load twice and verify byte-identical digests")
+		addr  = fs.String("addr", "localhost:8077", "serve mode: HTTP listen address")
+		load  = fs.Bool("load", false, "run the deterministic load generator instead of serving")
+		smoke = fs.Bool("smoke", false, "run a small load twice and verify byte-identical digests")
 
-		ds     = flag.Int("ds", 8, "striping degree (Ds)")
-		dr     = flag.Int("dr", 2, "rotational replicas (Dr)")
-		dm     = flag.Int("dm", 1, "mirrors (Dm)")
-		policy = flag.String("policy", "", "scheduler policy; empty picks the paper pairing (rsatf when Dr>1, else satf)")
-		depth  = flag.Int("max-queue-depth", 8, "array admission control: shed when a target drive's queue reaches this (0 = off)")
-		seed   = flag.Int64("seed", 1, "random seed")
+		ds     = fs.Int("ds", 8, "striping degree (Ds)")
+		dr     = fs.Int("dr", 2, "rotational replicas (Dr)")
+		dm     = fs.Int("dm", 1, "mirrors (Dm)")
+		policy = fs.String("policy", "", "scheduler policy; empty picks the paper pairing (rsatf when Dr>1, else satf)")
+		depth  = fs.Int("max-queue-depth", 8, "array admission control: shed when a target drive's queue reaches this (0 = off)")
+		seed   = fs.Int64("seed", 1, "random seed")
 
-		rate  = flag.Float64("rate", 0, "default per-tenant rate limit in requests per virtual second (0 = unlimited)")
-		burst = flag.Float64("burst", 4, "default per-tenant burst")
+		rate  = fs.Float64("rate", 0, "default per-tenant rate limit in requests per virtual second (0 = unlimited)")
+		burst = fs.Float64("burst", 4, "default per-tenant burst")
 
-		sloOn       = flag.Bool("slo", false, "attach the per-tenant SLO control plane (adaptive degradation + priority shedding)")
-		sloWindowMs = flag.Float64("slo-window-ms", 100, "SLO evaluation window, virtual ms")
-		sloPremMs   = flag.Float64("slo-premium-ms", 25, "premium p99 target, virtual ms (0 = unjudged)")
-		sloStdMs    = flag.Float64("slo-standard-ms", 60, "standard p99 target, virtual ms (0 = unjudged)")
-		sloBeMs     = flag.Float64("slo-besteffort-ms", 0, "best-effort p99 target, virtual ms (0 = unjudged)")
-		sloViolate  = flag.Int("slo-violate", 3, "consecutive violating windows before escalating one brownout level")
-		sloRecover  = flag.Int("slo-recover", 4, "consecutive compliant windows before stepping one level back")
+		sloOn       = fs.Bool("slo", false, "attach the per-tenant SLO control plane (adaptive degradation + priority shedding)")
+		sloWindowMs = fs.Float64("slo-window-ms", 100, "SLO evaluation window, virtual ms")
+		sloPremMs   = fs.Float64("slo-premium-ms", 25, "premium p99 target, virtual ms (0 = unjudged)")
+		sloStdMs    = fs.Float64("slo-standard-ms", 60, "standard p99 target, virtual ms (0 = unjudged)")
+		sloBeMs     = fs.Float64("slo-besteffort-ms", 0, "best-effort p99 target, virtual ms (0 = unjudged)")
+		sloViolate  = fs.Int("slo-violate", 3, "consecutive violating windows before escalating one brownout level")
+		sloRecover  = fs.Int("slo-recover", 4, "consecutive compliant windows before stepping one level back")
 
-		tenants  = flag.Int("tenants", 1000, "load mode: simulated tenants")
-		requests = flag.Int("requests", 100000, "load mode: total HTTP requests")
-		thinkMs  = flag.Float64("think-ms", 200, "load mode: mean per-tenant think time, virtual ms")
-		retries  = flag.Int("retries", 2, "load mode: retries per operation after a 429")
-		windowMs = flag.Float64("window-ms", 0, "load mode: report window in virtual ms (0 = auto)")
+		tenants  = fs.Int("tenants", 1000, "load mode: simulated tenants")
+		requests = fs.Int("requests", 100000, "load mode: total HTTP requests")
+		thinkMs  = fs.Float64("think-ms", 200, "load mode: mean per-tenant think time, virtual ms")
+		retries  = fs.Int("retries", 2, "load mode: retries per operation after a 429")
+		windowMs = fs.Float64("window-ms", 0, "load mode: report window in virtual ms (0 = auto)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	cfg := layout.Config{Ds: *ds, Dr: *dr, Dm: *dm}
 	pol := *policy
@@ -122,20 +134,21 @@ func main() {
 
 	switch {
 	case *smoke:
-		os.Exit(runSmoke(build, limits))
+		return runSmoke(stdout, build, limits)
 	case *load:
-		window := des.Time(*windowMs * float64(des.Millisecond))
-		os.Exit(runLoad(build, limits, service.LoadConfig{
+		return runLoad(stdout, build, limits, service.LoadConfig{
 			Tenants:    *tenants,
 			Requests:   *requests,
 			Seed:       *seed,
-			ThinkMean:  des.Time(*thinkMs * float64(des.Millisecond)),
+			ThinkMean:  ms(*thinkMs),
 			MaxRetries: *retries,
-			Window:     window,
-		}))
-	default:
-		os.Exit(serve(build, limits, *addr))
+			Window:     ms(*windowMs),
+		})
 	}
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt)
+	defer signal.Stop(stop)
+	return serve(stdout, build, limits, *addr, stop)
 }
 
 // tierOf classifies a tenant: explicit "premium..."/"best..." name
@@ -164,12 +177,11 @@ func tierOf(name string) slo.Tier {
 
 type buildFn func() (*core.Array, *slo.Controller, error)
 
-// serve runs the real-time HTTP front-end until interrupted.
-func serve(build buildFn, limits service.Limits, addr string) int {
+// serve runs the real-time HTTP front-end until stop delivers.
+func serve(stdout io.Writer, build buildFn, limits service.Limits, addr string, stop <-chan os.Signal) error {
 	a, ctl, err := build()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mimdserve: %v\n", err)
-		return 2
+		return err
 	}
 	gw := service.NewGateway(a, service.Config{Limits: limits, SLO: ctl})
 	runErr := make(chan error, 1)
@@ -179,29 +191,27 @@ func serve(build buildFn, limits service.Limits, addr string) int {
 	if ctl != nil {
 		mode = " (SLO control plane on)"
 	}
-	fmt.Printf("mimdserve: serving %d sectors over %d disks on http://%s%s\n", a.DataSectors(), a.Disks(), addr, mode)
-	fmt.Printf("  curl 'http://%s/v1/vol/read?off=0&count=8'\n", addr)
-	fmt.Printf("  curl -XPOST 'http://%s/v1/vol/write?off=4096&count=16'\n", addr)
-	fmt.Printf("  curl 'http://%s/v1/stats'\n", addr)
+	fmt.Fprintf(stdout, "mimdserve: serving %d sectors over %d disks on http://%s%s\n", a.DataSectors(), a.Disks(), addr, mode)
+	fmt.Fprintf(stdout, "  curl 'http://%s/v1/vol/read?off=0&count=8'\n", addr)
+	fmt.Fprintf(stdout, "  curl -XPOST 'http://%s/v1/vol/write?off=4096&count=16'\n", addr)
+	fmt.Fprintf(stdout, "  curl 'http://%s/v1/stats'\n", addr)
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt)
 	srvErr := make(chan error, 1)
 	go func() { srvErr <- srv.ListenAndServe() }()
 	select {
 	case err := <-srvErr:
-		fmt.Fprintf(os.Stderr, "mimdserve: %v\n", err)
-		return 1
+		gw.Close()
+		<-runErr
+		return err
 	case <-stop:
 	}
 	_ = srv.Close()
 	gw.Close()
 	if err := <-runErr; err != nil {
-		fmt.Fprintf(os.Stderr, "mimdserve: gateway: %v\n", err)
-		return 1
+		return fmt.Errorf("gateway: %w", err)
 	}
-	fmt.Println("mimdserve: drained, bye")
-	return 0
+	fmt.Fprintln(stdout, "mimdserve: drained, bye")
+	return nil
 }
 
 // runOnce builds a fresh stack and drives one deterministic load.
@@ -230,32 +240,30 @@ func runOnce(build buildFn, limits service.Limits, lc service.LoadConfig) (*serv
 	return rep, st, sloState, nil
 }
 
-func printReport(rep *service.LoadReport, st service.Stats, sloState string) {
-	fmt.Printf("issued %d: ok %d, rate-limited 429 %d, overloaded 429 %d, shed 429 %d, failed %d (retries %d, sleeps %d)\n",
+func printReport(stdout io.Writer, rep *service.LoadReport, st service.Stats, sloState string) {
+	fmt.Fprintf(stdout, "issued %d: ok %d, rate-limited 429 %d, overloaded 429 %d, shed 429 %d, failed %d (retries %d, sleeps %d)\n",
 		rep.Issued, rep.OK, rep.Limited, rep.Overloaded, st.Shed, rep.Failed, rep.Retries, st.Sleeps)
 	if sloState != "" {
-		fmt.Printf("slo: %s\n", sloState)
+		fmt.Fprintf(stdout, "slo: %s\n", sloState)
 	}
-	fmt.Printf("windows %d, digest sha256 %x\n", len(rep.Windows), sha256.Sum256([]byte(rep.Digest()+sloState)))
+	fmt.Fprintf(stdout, "windows %d, digest sha256 %x\n", len(rep.Windows), sha256.Sum256([]byte(rep.Digest()+sloState)))
 }
 
-func runLoad(build buildFn, limits service.Limits, lc service.LoadConfig) int {
+func runLoad(stdout io.Writer, build buildFn, limits service.Limits, lc service.LoadConfig) error {
 	rep, st, sloState, err := runOnce(build, limits, lc)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mimdserve: %v\n", err)
-		return 1
+		return err
 	}
-	printReport(rep, st, sloState)
+	printReport(stdout, rep, st, sloState)
 	if rep.Aborted > 0 {
-		fmt.Fprintf(os.Stderr, "mimdserve: %d tenants aborted\n", rep.Aborted)
-		return 1
+		return fmt.Errorf("%d tenants aborted", rep.Aborted)
 	}
-	return 0
+	return nil
 }
 
 // runSmoke drives a small load twice and demands byte-identical digests —
 // the check scripts/check.sh wires into CI.
-func runSmoke(build buildFn, limits service.Limits) int {
+func runSmoke(stdout io.Writer, build buildFn, limits service.Limits) error {
 	if limits.Default.Rate == 0 {
 		limits.Default = service.TenantLimit{Rate: 8, Burst: 4}
 	}
@@ -267,22 +275,19 @@ func runSmoke(build buildFn, limits service.Limits) int {
 	for i := range digests {
 		rep, st, sloState, err := runOnce(build, limits, lc)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mimdserve: smoke run %d: %v\n", i+1, err)
-			return 1
+			return fmt.Errorf("smoke run %d: %w", i+1, err)
 		}
 		if i == 0 {
-			printReport(rep, st, sloState)
+			printReport(stdout, rep, st, sloState)
 		}
 		if rep.Aborted > 0 || rep.OK == 0 {
-			fmt.Fprintf(os.Stderr, "mimdserve: smoke run %d unhealthy: ok=%d aborted=%d\n", i+1, rep.OK, rep.Aborted)
-			return 1
+			return fmt.Errorf("smoke run %d unhealthy: ok=%d aborted=%d", i+1, rep.OK, rep.Aborted)
 		}
 		digests[i] = rep.Digest() + sloState
 	}
 	if digests[0] != digests[1] {
-		fmt.Fprintln(os.Stderr, "mimdserve: SMOKE FAIL: digests differ across identical runs")
-		return 1
+		return fmt.Errorf("SMOKE FAIL: digests differ across identical runs")
 	}
-	fmt.Println("mimdserve: smoke ok (byte-identical digests)")
-	return 0
+	fmt.Fprintln(stdout, "mimdserve: smoke ok (byte-identical digests)")
+	return nil
 }

@@ -396,12 +396,14 @@ func Example_scrub() {
 			Faults:      mimdraid.FaultModel{LatentRate: 0.005},
 			VerifyReads: sc.verify,
 		}
-		if sc.scrub {
-			opts.Scrub = mimdraid.ScrubOptions{Enabled: true, MBps: 32}
-		}
 		arr, err := mimdraid.New(sim, opts)
 		if err != nil {
 			panic(err)
+		}
+		if sc.scrub {
+			if err := arr.StartScrub(mimdraid.ScrubOptions{MBps: 32}); err != nil {
+				panic(err)
+			}
 		}
 		injected := arr.InjectCorruption(64, 7)
 		randomReads(arr, 4000, nil)

@@ -36,18 +36,6 @@ func NewLRU(capacityBytes int64) *LRU {
 	}
 }
 
-// Blocks returns the capacity in blocks.
-func (c *LRU) Blocks() int { return c.capacity }
-
-// Len returns the resident block count.
-func (c *LRU) Len() int { return c.order.Len() }
-
-// Contains probes without updating recency or counters.
-func (c *LRU) Contains(block int64) bool {
-	_, ok := c.index[block]
-	return ok
-}
-
 // Touch looks a block up, updating recency and hit/miss counters.
 func (c *LRU) Touch(block int64) bool {
 	if e, ok := c.index[block]; ok {

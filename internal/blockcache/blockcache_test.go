@@ -17,11 +17,11 @@ func TestLRUEvictionOrder(t *testing.T) {
 	c.Insert(3)
 	c.Touch(1)  // 1 most recent; LRU order now 2,3,1
 	c.Insert(4) // evicts 2
-	if c.Contains(2) {
+	if _, ok := c.index[2]; ok {
 		t.Fatal("LRU did not evict the least recently used block")
 	}
 	for _, b := range []int64{1, 3, 4} {
-		if !c.Contains(b) {
+		if _, ok := c.index[b]; !ok {
 			t.Fatalf("block %d missing", b)
 		}
 	}
@@ -33,7 +33,7 @@ func TestLRUNeverExceedsCapacity(t *testing.T) {
 		c := NewLRU(16 * BlockSectors * 512)
 		for i := 0; i < 500; i++ {
 			c.Insert(rng.Int63n(100))
-			if c.Len() > c.Blocks() {
+			if c.order.Len() > c.capacity {
 				return false
 			}
 		}

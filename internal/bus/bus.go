@@ -96,15 +96,20 @@ func (c Completion) ServiceTime() des.Time { return c.Observed - c.Submitted }
 // NoiseModel parameterizes prototype-mode command overheads. Pre covers
 // host submit path + command decode (before the mechanism moves); Post
 // covers completion interrupt + status delivery. Jitter values are means of
-// exponential components; outliers model rare scheduling glitches.
+// exponential components.
 type NoiseModel struct {
-	PreBase     des.Time
-	PreJitter   des.Time
-	PostBase    des.Time
-	PostJitter  des.Time
-	OutlierProb float64
-	OutlierMean des.Time
+	PreBase    des.Time
+	PreJitter  des.Time
+	PostBase   des.Time
+	PostJitter des.Time
 }
+
+// Rare scheduling glitches: with probability outlierProb a command's
+// overhead gains an exponential component of mean outlierMean.
+const (
+	outlierProb = 0.001
+	outlierMean = 1500 * des.Microsecond
+)
 
 // DefaultNoise returns overheads representative of the paper's Windows
 // 2000 + Adaptec 39160 platform: a couple hundred microseconds of fixed
@@ -112,19 +117,17 @@ type NoiseModel struct {
 // outliers.
 func DefaultNoise() NoiseModel {
 	return NoiseModel{
-		PreBase:     120 * des.Microsecond,
-		PreJitter:   15 * des.Microsecond,
-		PostBase:    90 * des.Microsecond,
-		PostJitter:  20 * des.Microsecond,
-		OutlierProb: 0.001,
-		OutlierMean: 1500 * des.Microsecond,
+		PreBase:    120 * des.Microsecond,
+		PreJitter:  15 * des.Microsecond,
+		PostBase:   90 * des.Microsecond,
+		PostJitter: 20 * des.Microsecond,
 	}
 }
 
 func (n NoiseModel) draw(rng *rand.Rand, base, jitter des.Time) des.Time {
 	d := base + des.Time(rng.ExpFloat64()*float64(jitter))
-	if n.OutlierProb > 0 && rng.Float64() < n.OutlierProb {
-		d += des.Time(rng.ExpFloat64() * float64(n.OutlierMean))
+	if rng.Float64() < outlierProb {
+		d += des.Time(rng.ExpFloat64() * float64(outlierMean))
 	}
 	return d
 }
@@ -312,9 +315,6 @@ func (d *Drive) SetFaults(fi *disk.FaultInjector) { d.faults = fi }
 // SetSlow attaches a fail-slow state (nil keeps the drive at full speed).
 // Attach before submitting commands so the stutter stream is reproducible.
 func (d *Drive) SetSlow(s *disk.SlowState) { d.slow = s }
-
-// Slow returns the drive's fail-slow state, nil when healthy.
-func (d *Drive) Slow() *disk.SlowState { return d.slow }
 
 // SetCorruption attaches a silent-corruption injector (nil keeps data
 // faithful). Attach before submitting commands so the draw sequence is

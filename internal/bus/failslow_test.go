@@ -87,7 +87,7 @@ func TestSlowDriveStutterAttribution(t *testing.T) {
 	if stuttered == 0 || stuttered == len(comps) {
 		t.Fatalf("stutter windows hit %d of %d commands; expected a mix", stuttered, len(comps))
 	}
-	if got := drv.Slow().Stutters; got != int64(stuttered) {
+	if got := drv.slow.Stutters; got != int64(stuttered) {
 		t.Fatalf("state counted %d stutters, completions carried %d", got, stuttered)
 	}
 }

@@ -13,30 +13,27 @@ import (
 //
 // A prediction has a part that depends only on where the data lies and a
 // part that depends on the arm and the clock. Prepare computes the first
-// once (a disk.Target); the *Prepared methods evaluate the second against
-// it and return exactly what Access and AccessRun return for the same
-// extents. A target is valid only for the geometry that prepared it, so a
-// holder keeps targets per drive. Callers that score a candidate once use
-// Access/AccessRun; callers that re-score queued candidates keep the
-// targets.
+// once (a disk.Target); AccessPrepared and AccessRunPrepared evaluate the
+// second against it. A target is valid only for the geometry that prepared
+// it, so a holder keeps targets per drive.
 type AccessEstimator interface {
-	// Access predicts the service time of req submitted at time now with
-	// the arm at st.
-	Access(st disk.State, req disk.Request, now des.Time) des.Time
-	// AccessRun predicts the total service time of a multi-extent run
-	// issued back-to-back (a replica fragmented at track boundaries). A
-	// fragmented replica costs per-command overheads and possible missed
+	// Prepare computes into t the target of one extent against the
+	// estimator's geometry. It panics on an extent the geometry rejects.
+	Prepare(t *disk.Target, ext disk.Extent)
+	// AccessPrepared predicts the service time of the prepared extent
+	// submitted at time now with the arm at st.
+	AccessPrepared(st disk.State, t *disk.Target, write bool, now des.Time) des.Time
+	// AccessRunPrepared predicts the total service time of a multi-extent
+	// run issued back-to-back (a replica fragmented at track boundaries).
+	// A fragmented replica costs per-command overheads and possible missed
 	// revolutions at every join, which is exactly what makes a contiguous
 	// replica preferable for large transfers.
-	AccessRun(st disk.State, extents []disk.Extent, write bool, now des.Time) des.Time
-	// Prepare computes into t the target of one extent against the
-	// estimator's geometry. Like Access it panics on an extent the geometry
-	// rejects.
-	Prepare(t *disk.Target, ext disk.Extent)
-	// AccessPrepared is Access for a prepared extent.
-	AccessPrepared(st disk.State, t *disk.Target, write bool, now des.Time) des.Time
-	// AccessRunPrepared is AccessRun for prepared extents.
 	AccessRunPrepared(st disk.State, ts []disk.Target, write bool, now des.Time) des.Time
+	// AccessRun is AccessRunPrepared for unprepared extents, preparing one
+	// target at a time. It stays because sched's fallback for a replica of
+	// more extents than its two-target cache holds would otherwise need a
+	// []disk.Target per call.
+	AccessRun(st disk.State, extents []disk.Extent, write bool, now des.Time) des.Time
 	// RotationPeriod returns the (estimated) rotation period, used by
 	// schedulers for slack arithmetic and by models.
 	RotationPeriod() des.Time
@@ -61,13 +58,6 @@ type Exact struct {
 
 // Prepare implements AccessEstimator.
 func (e *Exact) Prepare(t *disk.Target, ext disk.Extent) { mustPrepare(e.Dsk.Geom, t, ext) }
-
-// Access implements AccessEstimator.
-func (e *Exact) Access(st disk.State, req disk.Request, now des.Time) des.Time {
-	var t disk.Target
-	e.Prepare(&t, disk.Extent{Start: req.Start, Count: req.Count})
-	return e.AccessPrepared(st, &t, req.Write, now)
-}
 
 // AccessPrepared implements AccessEstimator.
 func (e *Exact) AccessPrepared(st disk.State, t *disk.Target, write bool, now des.Time) des.Time {
@@ -124,13 +114,6 @@ type Tracked struct {
 // Prepare implements AccessEstimator.
 func (t *Tracked) Prepare(tg *disk.Target, ext disk.Extent) { mustPrepare(t.Geom, tg, ext) }
 
-// Access implements AccessEstimator.
-func (t *Tracked) Access(st disk.State, req disk.Request, now des.Time) des.Time {
-	var tg disk.Target
-	t.Prepare(&tg, disk.Extent{Start: req.Start, Count: req.Count})
-	return t.AccessPrepared(st, &tg, req.Write, now)
-}
-
 // AccessPrepared implements AccessEstimator. Only geometry is cached in the
 // target; the tracker's rotation estimate and the slack are read now.
 func (t *Tracked) AccessPrepared(st disk.State, tg *disk.Target, write bool, now des.Time) des.Time {
@@ -175,8 +158,8 @@ func (t *Tracked) restTransfer(tg *disk.Target, r, total des.Time) des.Time {
 	return total
 }
 
-// AccessRun implements AccessEstimator by chaining Access across the
-// extents with the arm state updated between them.
+// AccessRun implements AccessEstimator by chaining AccessPrepared across
+// the extents with the arm state updated between them.
 func (t *Tracked) AccessRun(st disk.State, extents []disk.Extent, write bool, now des.Time) des.Time {
 	start := now
 	var tg disk.Target

@@ -86,9 +86,6 @@ func NewTracker(geom *disk.Geometry, nominalR des.Time, postMean des.Time) *Trac
 // R returns the current rotation-period estimate.
 func (t *Tracker) R() des.Time { return t.rHat }
 
-// Calibrated reports whether enough observations exist to predict.
-func (t *Tracker) Calibrated() bool { return t.calOK }
-
 // RefCommand returns the read command used for calibration.
 func (t *Tracker) RefCommand() bus.Command {
 	return bus.Command{Op: bus.OpRead, LBA: t.RefLBA, Count: 1}
@@ -215,7 +212,7 @@ func (t *Tracker) anchor() (des.Time, float64) {
 }
 
 // AngleAt predicts the platter angle at absolute time at, in [0,1).
-// Callers must check Calibrated first.
+// Callers must Bootstrap the tracker first.
 func (t *Tracker) AngleAt(at des.Time) float64 {
 	t0, a0 := t.anchor()
 	a := a0 + float64(at-t0)/float64(t.rHat)

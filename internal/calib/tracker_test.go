@@ -52,7 +52,7 @@ func TestTrackerPredictsAngleWithinOnePercent(t *testing.T) {
 	sim, drv, d := protoDrive(t, 42)
 	trk := NewTracker(drv.Geometry(), d.NominalR, truePostMean())
 	trk.Bootstrap(sim, drv)
-	if !trk.Calibrated() {
+	if !trk.calOK {
 		t.Fatal("tracker not calibrated after bootstrap")
 	}
 	// Sample prediction error over the following two minutes (the paper's
@@ -234,7 +234,7 @@ func TestExactEstimatorMatchesDisk(t *testing.T) {
 		req := disk.Request{Start: disk.Chs{Cyl: c, Head: rng.Intn(d.Geom.Heads), Sector: rng.Intn(d.Geom.SPTOf(c))}, Count: 1}
 		st := disk.State{Cyl: rng.Intn(d.Geom.Cylinders)}
 		now := des.Time(rng.Float64() * 1e6)
-		got := e.Access(st, req, now)
+		got := access(e, st, req, now)
 		tm, err := d.Service(st, req, now+150)
 		if err != nil {
 			t.Fatal(err)
@@ -270,7 +270,7 @@ func TestTrackedEstimatorPredictionError(t *testing.T) {
 			t.Fatal(err)
 		}
 		req := disk.Request{Start: p, Count: 1}
-		pred := est.Access(drv.ArmState(), req, sim.Now())
+		pred := access(est, drv.ArmState(), req, sim.Now())
 		comp := runCmd(sim, drv, bus.Command{Op: bus.OpRead, LBA: lba, Count: 1})
 		stats.Add(PredictionRecord{Predicted: pred, Measured: comp.ServiceTime()})
 	}
@@ -353,13 +353,13 @@ func TestTrackedAccessRunChains(t *testing.T) {
 	st := disk.State{Cyl: 90}
 	now := sim.Now()
 	run := est.AccessRun(st, extents, false, now)
-	first := est.Access(st, disk.Request{Start: extents[0].Start, Count: 16}, now)
-	second := est.Access(disk.State{Cyl: 100, Head: 0}, disk.Request{Start: extents[1].Start, Count: 16}, now+first)
+	first := access(est, st, disk.Request{Start: extents[0].Start, Count: 16}, now)
+	second := access(est, disk.State{Cyl: 100, Head: 0}, disk.Request{Start: extents[1].Start, Count: 16}, now+first)
 	if math.Abs(float64(run-(first+second))) > 1e-6 {
 		t.Fatalf("AccessRun = %v, chained = %v", run, first+second)
 	}
 	// Fragmentation costs more than the contiguous equivalent.
-	single := est.Access(st, disk.Request{Start: extents[0].Start, Count: 32}, now)
+	single := access(est, st, disk.Request{Start: extents[0].Start, Count: 32}, now)
 	if run <= single {
 		t.Fatalf("two-extent run %v not above one contiguous command %v", run, single)
 	}

@@ -13,13 +13,13 @@ import (
 
 // TestBackfillPacingPinned pins the instant every backfill copy starts and
 // settles at BackfillMBps 8. Brick 1 misses writes while crashed and
-// backfills after RecoverBrick; brick 2 then crashes under that backfill,
+// backfills after recoverBrick; brick 2 then crashes under that backfill,
 // so the copies whose only fresh source is brick 2 find it Open: the
 // backfill parks with the entries pending, and wakes when brick 2's probe
 // closes its breaker.
 func TestBackfillPacingPinned(t *testing.T) {
 	sim, cl := newTestCluster(t, 3, Options{Replicas: 2, BackfillMBps: 8})
-	if err := cl.CrashBrick(1); err != nil {
+	if err := cl.crashBrick(1); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(13))
@@ -30,17 +30,17 @@ func TestBackfillPacingPinned(t *testing.T) {
 		}
 	})
 	sim.At(300*des.Millisecond, func() {
-		if err := cl.RecoverBrick(1); err != nil {
+		if err := cl.recoverBrick(1); err != nil {
 			t.Fatal(err)
 		}
 	})
 	sim.At(340*des.Millisecond, func() {
-		if err := cl.CrashBrick(2); err != nil {
+		if err := cl.crashBrick(2); err != nil {
 			t.Fatal(err)
 		}
 	})
 	sim.At(1500*des.Millisecond, func() {
-		if err := cl.RecoverBrick(2); err != nil {
+		if err := cl.recoverBrick(2); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -88,7 +88,7 @@ func routerAllocs(t *testing.T, cl *Cluster, run func(v core.Volume, off int64, 
 			off = (off + 37) % (v.DataSectors() - 8)
 		})
 	}
-	clusterAllocs, directAllocs := measure(cl), measure(cl.Brick(0))
+	clusterAllocs, directAllocs := measure(cl), measure(cl.bs[0])
 	if clusterAllocs > directAllocs {
 		t.Fatalf("healthy-path router adds allocations: cluster %.2f/op vs direct %.2f/op",
 			clusterAllocs, directAllocs)
@@ -102,7 +102,7 @@ func BenchmarkClusterFailover(b *testing.B) {
 	nop := func(core.Result) {}
 	b.Run("direct", func(b *testing.B) {
 		sim, cl := benchCluster(b)
-		direct := cl.Brick(0)
+		direct := cl.bs[0]
 		for i := int64(0); i < 100; i++ {
 			runOne(b, sim, direct, (i*37)%(direct.DataSectors()-8), nop)
 		}
@@ -129,7 +129,7 @@ func BenchmarkClusterFailover(b *testing.B) {
 	})
 	b.Run("outage", func(b *testing.B) {
 		sim, cl := benchCluster(b)
-		sim.At(sim.Now(), func() { _ = cl.CrashBrick(1) })
+		sim.At(sim.Now(), func() { _ = cl.crashBrick(1) })
 		sim.Run()
 		// Warm until the breaker is Open and the probe budget is spent, so
 		// the steady state is pure routed-around reads.

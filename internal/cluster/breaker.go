@@ -227,7 +227,7 @@ func (c *Cluster) probe(b int) {
 }
 
 // closeBreaker returns an Open brick to service (probe success, or an
-// explicit RecoverBrick) and kicks its backfill.
+// explicit Recover) and kicks its backfill.
 func (c *Cluster) closeBreaker(b int) {
 	st := &c.br[b]
 	if st.dead || st.state != Open {

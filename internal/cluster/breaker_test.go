@@ -203,7 +203,7 @@ func TestBreakerFailureSuspectThenTrip(t *testing.T) {
 	var onB1 []int64
 	first := int64(-1)
 	for e := int64(0); e < cl.pm.extents; e++ {
-		for k, b := range cl.Replicas(e) {
+		for k, b := range cl.replicas(e) {
 			if b == 1 {
 				onB1 = append(onB1, e)
 				if k == 0 && first < 0 {
@@ -262,11 +262,11 @@ func TestBreakerFailureSuspectThenTrip(t *testing.T) {
 }
 
 // TestBreakerParkedBrickRecovers: with ProbeTries 2, a crashed brick is
-// parked Open after two failed probes with no third armed; RecoverBrick
+// parked Open after two failed probes with no third armed; recoverBrick
 // closes the breaker and the backfill reconciles every missed write.
 func TestBreakerParkedBrickRecovers(t *testing.T) {
 	sim, cl, _ := newWatchedCluster(t, 3, Options{Replicas: 2, ExtentSectors: 512, Seed: 42, ProbeTries: 2})
-	if err := cl.CrashBrick(1); err != nil {
+	if err := cl.crashBrick(1); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(12))
@@ -292,16 +292,16 @@ func TestBreakerParkedBrickRecovers(t *testing.T) {
 		t.Fatal("outage writes logged no divergence; test exercised nothing")
 	}
 
-	if err := cl.RecoverBrick(1); err != nil {
+	if err := cl.recoverBrick(1); err != nil {
 		t.Fatal(err)
 	}
 	if cl.State(1) != Healthy {
-		t.Fatalf("RecoverBrick left the breaker %v", cl.State(1))
+		t.Fatalf("recoverBrick left the breaker %v", cl.State(1))
 	}
 	closedLoop(t, cl, rng, 100, 0.5, each)
 	sim.Run()
 	if !cl.Drain(des.Hour) {
-		t.Fatal("cluster failed to drain after RecoverBrick")
+		t.Fatal("cluster failed to drain after recoverBrick")
 	}
 	ctr = cl.Counters()
 	if n := cl.DivergencePending(); n != 0 {

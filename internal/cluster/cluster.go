@@ -59,8 +59,7 @@ type Options struct {
 	// size-identical to the bare brick.
 	Headroom float64
 	// ProbeTries bounds the half-open probes after a breaker trip (default
-	// 64) before the brick is parked Open until RecoverBrick or
-	// DeclareDead.
+	// 64) before the brick is parked Open until Recover or DeclareDead.
 	ProbeTries int
 	// BackfillMBps paces backfill and re-replication copies, the same
 	// bandwidth discipline as rebuild and scrub (default 32 MB/s).
@@ -890,12 +889,6 @@ var _ core.Volume = (*Cluster)(nil)
 
 // --- cluster-specific surface ---------------------------------------------
 
-// Bricks reports the brick count.
-func (c *Cluster) Bricks() int { return len(c.bs) }
-
-// Brick exposes brick b (tests, admin).
-func (c *Cluster) Brick(b int) core.Volume { return c.bs[b] }
-
 // State reports brick b's breaker state.
 func (c *Cluster) State(b int) Health { return c.br[b].state }
 
@@ -910,39 +903,4 @@ func (c *Cluster) DivergencePending() int {
 		n += len(c.br[b].div)
 	}
 	return n
-}
-
-// Replicas reports the bricks currently holding extent e, in placement
-// order (unplaced replicas omitted).
-func (c *Cluster) Replicas(e int64) []int {
-	var out []int
-	for k := 0; k < c.pm.r; k++ {
-		if l := c.pm.locOf(e, k); l.brick >= 0 {
-			out = append(out, int(l.brick))
-		}
-	}
-	return out
-}
-
-// CrashBrick power-fails one brick without telling the router — the
-// breaker must discover the outage from failing traffic, exactly as it
-// would in production. Colocated topologies only.
-func (c *Cluster) CrashBrick(b int) error {
-	if c.send != nil {
-		return fmt.Errorf("cluster: CrashBrick on a sharded cluster")
-	}
-	return c.bs[b].Crash()
-}
-
-// RecoverBrick powers one brick back on and closes its breaker directly
-// (the explicit-admin path; the probe path discovers recovery on its own).
-func (c *Cluster) RecoverBrick(b int) error {
-	if c.send != nil {
-		return fmt.Errorf("cluster: RecoverBrick on a sharded cluster")
-	}
-	if err := c.bs[b].Recover(); err != nil {
-		return err
-	}
-	c.closeBreaker(b)
-	return nil
 }

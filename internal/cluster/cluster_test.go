@@ -40,6 +40,32 @@ func newTestCluster(t *testing.T, n int, opts Options) (*des.Sim, *Cluster) {
 	return sim, c
 }
 
+// crashBrick power-fails one brick without telling the router: the
+// breaker must discover the outage from failing traffic.
+func (c *Cluster) crashBrick(b int) error { return c.bs[b].Crash() }
+
+// recoverBrick powers one brick back on and closes its breaker directly,
+// the explicit-admin path (the probe path discovers recovery on its own).
+func (c *Cluster) recoverBrick(b int) error {
+	if err := c.bs[b].Recover(); err != nil {
+		return err
+	}
+	c.closeBreaker(b)
+	return nil
+}
+
+// replicas reports the bricks currently holding extent e, in placement
+// order (unplaced replicas omitted).
+func (c *Cluster) replicas(e int64) []int {
+	var out []int
+	for k := 0; k < c.pm.r; k++ {
+		if l := c.pm.locOf(e, k); l.brick >= 0 {
+			out = append(out, int(l.brick))
+		}
+	}
+	return out
+}
+
 // testOptions fills the test clusters' extent size and placement seed.
 func testOptions(opts Options) Options {
 	if opts.ExtentSectors == 0 {
@@ -205,12 +231,12 @@ func TestReadFailoverDuringOutage(t *testing.T) {
 		}
 	}
 	sim.At(2*des.Millisecond, func() {
-		if err := cl.CrashBrick(1); err != nil {
+		if err := cl.crashBrick(1); err != nil {
 			t.Errorf("crash: %v", err)
 		}
 	})
 	sim.At(40*des.Millisecond, func() {
-		if err := cl.Brick(1).Recover(); err != nil {
+		if err := cl.bs[1].Recover(); err != nil {
 			t.Errorf("recover: %v", err)
 		}
 	})
@@ -263,8 +289,8 @@ func TestWriteDivergenceBackfillReconciles(t *testing.T) {
 			t.Fatalf("synchronous write rejection with a replica alive: %v", err)
 		}
 	}
-	sim.At(2*des.Millisecond, func() { _ = cl.CrashBrick(2) })
-	sim.At(30*des.Millisecond, func() { _ = cl.Brick(2).Recover() })
+	sim.At(2*des.Millisecond, func() { _ = cl.crashBrick(2) })
+	sim.At(30*des.Millisecond, func() { _ = cl.bs[2].Recover() })
 	for i := 0; i < 4; i++ {
 		issue()
 	}
@@ -316,17 +342,17 @@ func TestDoubleCrashDuringBackfill(t *testing.T) {
 			t.Fatalf("synchronous rejection: %v", err)
 		}
 	}
-	sim.At(2*des.Millisecond, func() { _ = cl.CrashBrick(0) })
-	sim.At(20*des.Millisecond, func() { _ = cl.Brick(0).Recover() })
+	sim.At(2*des.Millisecond, func() { _ = cl.crashBrick(0) })
+	sim.At(20*des.Millisecond, func() { _ = cl.bs[0].Recover() })
 	// Backfill at 8 MB/s needs 32ms per 512-sector extent; crash again
 	// while it is mid-queue, then recover for good.
 	sim.At(80*des.Millisecond, func() {
 		if cl.DivergencePending() == 0 {
 			t.Error("backfill already done at second crash; slow it down")
 		}
-		_ = cl.CrashBrick(0)
+		_ = cl.crashBrick(0)
 	})
-	sim.At(120*des.Millisecond, func() { _ = cl.Brick(0).Recover() })
+	sim.At(120*des.Millisecond, func() { _ = cl.bs[0].Recover() })
 	for i := 0; i < 4; i++ {
 		issue()
 	}
@@ -378,7 +404,7 @@ func TestDeclareDead(t *testing.T) {
 			t.Fatalf("synchronous rejection: %v", err)
 		}
 	}
-	sim.At(2*des.Millisecond, func() { _ = cl.CrashBrick(1) })
+	sim.At(2*des.Millisecond, func() { _ = cl.crashBrick(1) })
 	sim.At(20*des.Millisecond, func() {
 		if err := cl.DeclareDead(1); err != nil {
 			t.Errorf("DeclareDead: %v", err)
@@ -410,7 +436,7 @@ func TestDeclareDead(t *testing.T) {
 	}
 	// Every extent must have left the dead brick.
 	for e := int64(0); e < cl.pm.extents; e++ {
-		for _, b := range cl.Replicas(e) {
+		for _, b := range cl.replicas(e) {
 			if b == 1 {
 				t.Fatalf("extent %d still placed on the dead brick", e)
 			}
@@ -440,8 +466,8 @@ func TestAllReplicasDownRejectsSync(t *testing.T) {
 	// half-open probe budget is still live.
 	sim, cl := newTestCluster(t, 2, Options{Replicas: 2})
 	sim.At(0, func() {
-		_ = cl.CrashBrick(0)
-		_ = cl.CrashBrick(1)
+		_ = cl.crashBrick(0)
+		_ = cl.crashBrick(1)
 	})
 	// The router has not seen a failure yet, so the first submission goes
 	// out, fails everywhere (tripping both breakers inline), and completes
@@ -471,7 +497,7 @@ func TestAllReplicasDownRejectsSync(t *testing.T) {
 	})
 	// One brick back: a half-open probe must rediscover it with no router
 	// hint, and reads flow again.
-	sim.At(des.Millisecond, func() { _ = cl.Brick(0).Recover() })
+	sim.At(des.Millisecond, func() { _ = cl.bs[0].Recover() })
 	ok := false
 	sim.At(80*des.Millisecond, func() {
 		if got := cl.State(0); got != Healthy {
@@ -510,8 +536,8 @@ func TestVolumeSurface(t *testing.T) {
 	if err := cl.SetTuning(tun); err != nil {
 		t.Fatalf("SetTuning: %v", err)
 	}
-	for i := 0; i < cl.Bricks(); i++ {
-		if got := cl.Brick(i).Tuning().MaxQueueDepth; got != 64 {
+	for i := 0; i < len(cl.bs); i++ {
+		if got := cl.bs[i].Tuning().MaxQueueDepth; got != 64 {
 			t.Errorf("brick %d MaxQueueDepth = %d after fan-out", i, got)
 		}
 	}

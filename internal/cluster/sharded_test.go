@@ -86,7 +86,7 @@ func declareDeadMidFlight(t *testing.T, headroom float64, workers int) {
 	}
 	const crashAt = 50 * des.Millisecond
 	sh.Shard(2).At(crashAt, func() {
-		if err := cl.Brick(1).Crash(); err != nil {
+		if err := cl.bs[1].Crash(); err != nil {
 			t.Errorf("crash: %v", err)
 		}
 	})

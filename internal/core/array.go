@@ -89,9 +89,10 @@ type Options struct {
 	// OpportunisticTracking refines the head tracker's phase from ordinary
 	// request completions (the paper's unimplemented optimization).
 	OpportunisticTracking bool
-	// RecalibrateEvery overrides the head tracker's reference-read
-	// interval (0 keeps the default two minutes).
-	RecalibrateEvery des.Time
+	// recalibrateEvery overrides the head tracker's reference-read
+	// interval (0 keeps the default two minutes). Only tests shorten it,
+	// to drive recalibration inside a short run.
+	recalibrateEvery des.Time
 
 	// Faults injects per-drive transient errors and command timeouts (see
 	// disk.FaultModel), and assigns fail-slow profiles (persistent
@@ -115,16 +116,15 @@ type Options struct {
 	// tracking entirely.
 	Health HealthOptions
 	// Hedge enables hedged reads: a dispatched foreground read that has
-	// not completed after HedgeAfter is duplicated onto another fresh
+	// not completed after the hedge delay is duplicated onto another fresh
 	// mirror, and whichever copy finishes first answers the caller (the
 	// loser is cancelled from its queue or its completion discarded). The
 	// post-dispatch generalization of the mirror duplicate-request
 	// heuristic, aimed at fail-slow drives rather than busy ones.
+	// The delay derives adaptively from the observed p99 of foreground
+	// read service times (the hedged-request policy of Dean & Barroso)
+	// unless Tuning.HedgeAfter pins it.
 	Hedge bool
-	// HedgeAfter is the hedge delay. 0 derives it adaptively from the
-	// observed p99 of foreground read service times (the hedged-request
-	// policy of Dean & Barroso); a fixed positive value pins it.
-	HedgeAfter des.Time
 	// MaxQueueDepth sheds a logical request at Submit with ErrOverload
 	// when every candidate drive of some piece already has at least this
 	// many foreground requests queued. 0 disables admission control.
@@ -143,11 +143,6 @@ type Options struct {
 	// queued. Off, corrupt data flows to the caller and is tallied in
 	// FaultCounters.SilentReads.
 	VerifyReads bool
-	// Scrub starts the paced background scrubber at construction: a
-	// cylinder-order walk of every drive's chunk copies issuing
-	// background-class verify reads and repairing what they catch. See
-	// ScrubOptions.
-	Scrub ScrubOptions
 	// Crash enables the whole-array power-failure model: Crash()/Recover()
 	// become available (or fire automatically at CrashModel.At), NVRAM
 	// durability follows CrashModel.Durability, and restart runs the
@@ -229,6 +224,12 @@ type Array struct {
 	scrub    *scrubState
 	scrubCtr ScrubCounters
 
+	// The Tuning actuators that Options does not seed: the pinned hedge
+	// delay (0 = adaptive), the scrubber's default rate and the recovery
+	// scan's rate. New starts them at their defaults; SetTuning moves them.
+	hedgeAfter          des.Time
+	scrubMBps, scanMBps float64
+
 	// Crash/recovery state (see crash.go and recovery.go). crashed marks
 	// the power-failed window between Crash and Recover; crashSnap holds
 	// the battery-backed NVRAM snapshot taken at the instant of the crash;
@@ -237,7 +238,6 @@ type Array struct {
 	// recScan is the active post-recovery divergence scan; recCtr
 	// accumulates crash/recovery counters across cycles.
 	crashed          bool
-	crashAt          des.Time
 	crashSnap        []byte
 	crashDelayed     int64
 	crashScrubActive bool
@@ -250,7 +250,7 @@ type Array struct {
 
 	// hedgeLat accumulates clean foreground read service times for the
 	// adaptive hedge delay (maintained only when Hedge is on and
-	// HedgeAfter is 0).
+	// hedgeAfter is 0).
 	hedgeLat latHist
 	// healthScratch is reused by the health tracker's median computation
 	// so per-completion evaluation never allocates.
@@ -315,6 +315,9 @@ type drive struct {
 	trk   *calib.Tracker
 	slack *calib.SlackController
 	acc   calib.AccuracyStats
+	// tgt is bestAccess's scratch target: est.Prepare fills it through an
+	// interface call, so a local would escape to the heap.
+	tgt disk.Target
 
 	queue   []*sched.Request
 	delayed []*delayedCopy
@@ -400,9 +403,6 @@ func New(sim *des.Sim, opts Options) (*Array, error) {
 	if err := opts.Health.validate(); err != nil {
 		return nil, err
 	}
-	if opts.HedgeAfter < 0 {
-		return nil, fmt.Errorf("core: negative hedge delay %v", opts.HedgeAfter)
-	}
 	if opts.MaxQueueDepth < 0 {
 		return nil, fmt.Errorf("core: negative max queue depth %d", opts.MaxQueueDepth)
 	}
@@ -415,15 +415,10 @@ func New(sim *des.Sim, opts Options) (*Array, error) {
 	if opts.RebuildMBps < 0 {
 		return nil, fmt.Errorf("core: negative rebuild bandwidth %v", opts.RebuildMBps)
 	}
-	if err := opts.Scrub.validate(); err != nil {
-		return nil, err
-	}
 	if err := opts.Crash.Validate(); err != nil {
 		return nil, err
 	}
 	opts.RebuildMBps = orDefault(opts.RebuildMBps, DefaultRebuildMBps)
-	opts.Scrub.MBps = orDefault(opts.Scrub.MBps, DefaultScrubMBps)
-	opts.Crash.ScanMBps = orDefault(opts.Crash.ScanMBps, DefaultRecoveryScanMBps)
 	rng := rand.New(rand.NewSource(opts.Seed))
 
 	// Build a reference drive to size the volume.
@@ -454,13 +449,13 @@ func New(sim *des.Sim, opts Options) (*Array, error) {
 	a := &Array{
 		sim: sim, opts: opts, lay: lay, nvramCap: opts.NVRAMEntries,
 		writeGate: make(map[int64][]gateWaiter),
+		scrubMBps: DefaultScrubMBps, scanMBps: DefaultRecoveryScanMBps,
 	}
 	// The oracle runs whenever something can corrupt data or consult the
 	// check; otherwise committed stays nil and no path touches it.
 	// The crash model needs it too: the recovery scan walks content
 	// versions to find replicas a lost delayed copy left divergent.
-	a.integrity = opts.Faults.CorruptionEnabled() || opts.VerifyReads || opts.Scrub.Enabled ||
-		opts.Crash.Enabled
+	a.integrity = opts.Faults.CorruptionEnabled() || opts.VerifyReads || opts.Crash.Enabled
 	if a.integrity {
 		a.ensureIntegrity()
 	}
@@ -486,8 +481,8 @@ func New(sim *des.Sim, opts Options) (*Array, error) {
 			d.bus = bus.NewPrototype(sim, dsk, noise, opts.Seed+int64(i)*7919+1)
 			post := noise.PostBase + noise.PostJitter + des.Time(float64(disk.SectorSize)/(160e6/1e6))
 			d.trk = calib.NewTracker(dsk.Geom, dsk.NominalR, post)
-			if opts.RecalibrateEvery > 0 {
-				d.trk.RecalibrateEvery = opts.RecalibrateEvery
+			if opts.recalibrateEvery > 0 {
+				d.trk.RecalibrateEvery = opts.recalibrateEvery
 			}
 			d.slack = calib.NewSlackController(4)
 			if opts.FixedSlackSet {
@@ -565,20 +560,11 @@ func New(sim *des.Sim, opts Options) (*Array, error) {
 			a.RefReads += int64(d.trk.ObsCount)
 		}
 	}
-	if opts.Scrub.Enabled {
-		if err := a.StartScrub(opts.Scrub); err != nil {
-			return nil, err
-		}
-	}
 	if opts.Crash.Enabled && opts.Crash.At > 0 {
 		a.scheduleCrash(opts.Crash.At, opts.Crash.RecoverAfter)
 	}
 	return a, nil
 }
-
-// Obs returns the array's observability recorder, nil unless Options.Obs
-// attached one.
-func (a *Array) Obs() *obs.Recorder { return a.obsRec }
 
 // Layout exposes the array's data placement.
 func (a *Array) Layout() *layout.Layout { return a.lay }
@@ -595,9 +581,6 @@ func (a *Array) Disks() int { return len(a.drives) }
 // QueueLen returns the foreground queue length of drive i (in-flight
 // excluded).
 func (a *Array) QueueLen(i int) int { return len(a.drives[i].queue) }
-
-// DelayedLen returns drive i's pending delayed-write count.
-func (a *Array) DelayedLen(i int) int { return len(a.drives[i].delayed) }
 
 // NVRAMUsed returns the number of live delayed-write table entries.
 func (a *Array) NVRAMUsed() int { return a.nvramUsed }

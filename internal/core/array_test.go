@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/calib"
 	"repro/internal/des"
 	"repro/internal/disk"
 	"repro/internal/layout"
@@ -26,6 +27,68 @@ func newArray(t testing.TB, cfg layout.Config, policy string, opts func(*Options
 	}
 	return sim, a
 }
+
+// recoverDelayed replays the metadata table after a simulated crash: every
+// pending copy is reissued as a foreground write, exactly what the
+// prototype's NVRAM recovery did. It returns the number of copies
+// reissued.
+func recoverDelayed(a *Array) int {
+	total := 0
+	for _, d := range a.drives {
+		pending := d.delayed
+		d.delayed = nil
+		for _, c := range pending {
+			a.promoteCopy(d, c)
+			total++
+		}
+	}
+	return total
+}
+
+// lostChunks returns how many distinct chunks are permanently unreadable:
+// rows a slot drive marks lost, counting a chunk lost on several mirrors
+// once (FaultCounters.LostChunks counts every loss).
+func lostChunks(a *Array) int {
+	g := a.opts.Config.Positions()
+	n := 0
+	for slot, d := range a.drives {
+		if d.missingRows == 0 {
+			continue
+		}
+		n += len(a.slotChunkList(slot, func(c int64) bool {
+			for o := slot - g; o >= 0; o -= g {
+				if a.freshAt(a.drives[o], c, 0)&rowLost != 0 {
+					return false // counted at the lower slot
+				}
+			}
+			return a.freshAt(d, c, 0)&rowLost != 0
+		}))
+	}
+	return n
+}
+
+// access predicts one unprepared request the way a one-off caller does:
+// prepare a target, then evaluate it.
+func access(est calib.AccessEstimator, st disk.State, req disk.Request, now des.Time) des.Time {
+	var tg disk.Target
+	est.Prepare(&tg, disk.Extent{Start: req.Start, Count: req.Count})
+	return est.AccessPrepared(st, &tg, req.Write, now)
+}
+
+// pinHedge pins the hedge delay through Tuning, the way an operator or
+// the SLO controller does.
+func pinHedge(t testing.TB, a *Array, d des.Time) {
+	t.Helper()
+	tn := a.Tuning()
+	tn.HedgeAfter = d
+	if err := a.SetTuning(tn); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recoveryScanActive reports whether a post-crash divergence scan is still
+// running.
+func recoveryScanActive(a *Array) bool { return a.recScan != nil && !a.recScan.done }
 
 // runRandomReads issues n uniform random single-chunk reads sequentially
 // (closed loop, one outstanding) and returns the mean latency.
@@ -316,7 +379,7 @@ func TestRecoverDelayed(t *testing.T) {
 	if a.NVRAMUsed() == 0 {
 		t.Skip("all propagation finished before the crash point; nothing to recover")
 	}
-	n := a.RecoverDelayed()
+	n := recoverDelayed(a)
 	if n == 0 {
 		t.Fatal("recovery reissued nothing despite pending entries")
 	}
@@ -425,7 +488,7 @@ func TestBestAccessScoresEachMirrorOnItsOwnGeometry(t *testing.T) {
 				want := des.Time(math.Inf(1))
 				for _, rep := range p.Replicas {
 					e := rep[0]
-					if w := d.est.Access(d.bus.ArmState(), disk.Request{Start: e.Start, Count: e.Count}, a.sim.Now()); w < want {
+					if w := access(d.est, d.bus.ArmState(), disk.Request{Start: e.Start, Count: e.Count}, a.sim.Now()); w < want {
 						want = w
 					}
 				}
@@ -685,7 +748,7 @@ func TestMergeReadPieces(t *testing.T) {
 func TestRefReadsSurviveLoad(t *testing.T) {
 	sim, a := newArray(t, layout.SRArray(1, 2), "rsatf", func(o *Options) {
 		o.Prototype = true
-		o.RecalibrateEvery = 2 * des.Second
+		o.recalibrateEvery = 2 * des.Second
 	})
 	boot := a.RefReads
 	// Closed loop for 30 simulated seconds.

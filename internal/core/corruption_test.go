@@ -239,10 +239,10 @@ func TestHedgeFaultReconcile(t *testing.T) {
 			Slow:          map[int]disk.SlowProfile{0: {Factor: 8}},
 		}
 		o.Hedge = true
-		o.HedgeAfter = 10 * des.Millisecond
 		o.Obs = reg
 		o.ObsLabel = "hedge-fault-reconcile"
 	})
+	pinHedge(t, a, 10*des.Millisecond)
 	served, failed := closedLoopReads(t, sim, a, 800, 4, 11)
 	if failed != 0 || served != 800 {
 		t.Fatalf("served %d failed %d; mirrored reads must survive transient faults", served, failed)
@@ -262,7 +262,7 @@ func TestHedgeFaultReconcile(t *testing.T) {
 	if h.Issued != h.Won+h.Lost+h.Cancelled {
 		t.Fatalf("hedge counters do not reconcile: %+v", h)
 	}
-	rec := a.Obs()
+	rec := a.obsRec
 	if rec.HedgesIssued != h.Issued || rec.HedgesWon != h.Won ||
 		rec.HedgesLost != h.Lost || rec.HedgesCancelled != h.Cancelled {
 		t.Fatalf("obs hedge counters %d/%d/%d/%d != array %+v",
@@ -441,8 +441,6 @@ func TestCorruptionOptionValidation(t *testing.T) {
 		func(o *Options) { o.Faults = disk.FaultModel{CorruptRate: 0.6} },
 		func(o *Options) { o.Faults = disk.FaultModel{TornRate: 2} },
 		func(o *Options) { o.Faults = disk.FaultModel{LatentRate: 0.5, CorruptRate: 0.45} },
-		func(o *Options) { o.Scrub = ScrubOptions{Enabled: true, MBps: -1} },
-		func(o *Options) { o.Scrub = ScrubOptions{Enabled: true, Passes: -1} },
 	}
 	for i, mod := range bad {
 		o := Options{Config: layout.RAID10(4), DataSectors: 1 << 15}
@@ -452,6 +450,11 @@ func TestCorruptionOptionValidation(t *testing.T) {
 		}
 	}
 	_, a := newArray(t, layout.RAID10(4), "rsatf", nil)
+	for _, o := range []ScrubOptions{{MBps: -1}, {Passes: -1}} {
+		if err := a.StartScrub(o); err == nil {
+			t.Errorf("StartScrub(%+v) accepted", o)
+		}
+	}
 	if err := a.StartScrub(ScrubOptions{}); err != nil {
 		t.Fatal(err)
 	}

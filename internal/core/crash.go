@@ -31,9 +31,9 @@ const (
 	// copy is lost and the replicas it would have refreshed stay divergent
 	// until the recovery scan finds them.
 	Volatile NVRAMDurability = iota
-	// BatteryBacked NVRAM holds the table across the outage (within
-	// CrashModel.BatteryHorizon): recovery adopts the surviving entries and
-	// reissues each still-owed copy as a foreground write.
+	// BatteryBacked NVRAM holds the table across the outage: recovery
+	// adopts the surviving entries and reissues each still-owed copy as a
+	// foreground write.
 	BatteryBacked
 )
 
@@ -44,9 +44,10 @@ func (d NVRAMDurability) String() string {
 	return "volatile"
 }
 
-// DefaultRecoveryScanMBps paces the post-crash divergence scan when
-// CrashModel.ScanMBps is zero. The scan reads metadata (content versions /
-// checksum summaries), not data, so it runs well above scrub rates.
+// DefaultRecoveryScanMBps paces the post-crash divergence scan until
+// Tuning.RecoveryScanMBps changes it. The scan reads metadata (content
+// versions / checksum summaries), not data, so it runs well above scrub
+// rates.
 const DefaultRecoveryScanMBps = 32.0
 
 // CrashModel configures whole-array power-failure injection. The zero
@@ -65,12 +66,6 @@ type CrashModel struct {
 	RecoverAfter des.Time
 	// Durability selects what the crash does to the NVRAM table.
 	Durability NVRAMDurability
-	// BatteryHorizon bounds how long BatteryBacked NVRAM holds its charge:
-	// a recovery later than crash time plus the horizon finds the table
-	// drained and adopts nothing. Zero means indefinite.
-	BatteryHorizon des.Time
-	// ScanMBps paces the recovery scan; 0 means DefaultRecoveryScanMBps.
-	ScanMBps float64
 }
 
 // Validate checks the model. A disabled model is valid regardless of the
@@ -88,14 +83,8 @@ func (m CrashModel) Validate() error {
 	if m.RecoverAfter > 0 && m.At == 0 {
 		return fmt.Errorf("core: CrashModel.RecoverAfter without CrashModel.At")
 	}
-	if m.BatteryHorizon < 0 {
-		return fmt.Errorf("core: negative battery horizon %v", m.BatteryHorizon)
-	}
 	if m.Durability > BatteryBacked {
 		return fmt.Errorf("core: unknown NVRAM durability %d", m.Durability)
-	}
-	if m.ScanMBps < 0 {
-		return fmt.Errorf("core: negative recovery scan bandwidth %v", m.ScanMBps)
 	}
 	return nil
 }
@@ -166,7 +155,6 @@ func (a *Array) Crash() error {
 		a.crashSnap = snap
 	}
 	a.crashed = true
-	a.crashAt = a.sim.Now()
 	a.recCtr.Crashes++
 	if a.obsRec != nil {
 		a.obsRec.Crashes++

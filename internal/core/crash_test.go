@@ -52,15 +52,13 @@ func TestCrashModelValidation(t *testing.T) {
 		ok bool
 	}{
 		{CrashModel{}, true},
-		{CrashModel{At: -1, RecoverAfter: -1, ScanMBps: -1}, true}, // disabled: ignored
+		{CrashModel{At: -1, RecoverAfter: -1}, true}, // disabled: ignored
 		{CrashModel{Enabled: true}, true},
 		{CrashModel{Enabled: true, At: des.Second, RecoverAfter: des.Second}, true},
 		{CrashModel{Enabled: true, At: -1}, false},
 		{CrashModel{Enabled: true, At: des.Second, RecoverAfter: -1}, false},
 		{CrashModel{Enabled: true, RecoverAfter: des.Second}, false},
-		{CrashModel{Enabled: true, BatteryHorizon: -1}, false},
 		{CrashModel{Enabled: true, Durability: 7}, false},
-		{CrashModel{Enabled: true, ScanMBps: -0.5}, false},
 	}
 	for i, c := range cases {
 		if err := c.m.Validate(); (err == nil) != c.ok {
@@ -240,31 +238,6 @@ func TestCrashRecoverBatteryBacked(t *testing.T) {
 	}
 }
 
-func TestBatteryHorizonDrains(t *testing.T) {
-	sim, a := crashArray(t, BatteryBacked, func(o *Options) {
-		o.Crash.BatteryHorizon = des.Second
-	})
-	outstanding := 0
-	crashMidLoad(t, sim, a, 80, 11, &outstanding)
-	// Recover only after the battery has died: the table is gone and
-	// recovery degenerates to the volatile case.
-	sim.At(sim.Now()+2*des.Second, func() {
-		if err := a.Recover(); err != nil {
-			t.Error(err)
-		}
-	})
-	if !a.Drain(des.Hour) {
-		t.Fatal("drain after recovery")
-	}
-	rec := reconcileRecovery(t, a)
-	if rec.Adopted != 0 {
-		t.Fatalf("recovery past the battery horizon adopted %d entries", rec.Adopted)
-	}
-	if rec.LostDelayed == 0 {
-		t.Fatalf("drained battery lost nothing: %+v", rec)
-	}
-}
-
 // TestScheduledCrashRecover drives the whole cycle from Options alone (the
 // construction-time schedule the chaos engine uses) and checks the run is
 // deterministic.
@@ -364,8 +337,8 @@ func TestCrashDuringRebuildResumes(t *testing.T) {
 	if st := a.DriveState(0); st != DriveHealthy {
 		t.Fatalf("rebuilt slot state %v, want healthy", st)
 	}
-	if a.LostChunks() != 0 {
-		t.Fatalf("%d chunks lost with a surviving mirror", a.LostChunks())
+	if lostChunks(a) != 0 {
+		t.Fatalf("%d chunks lost with a surviving mirror", lostChunks(a))
 	}
 	// The resumed rebuild is the one the fail-stop started.
 	if fc := a.Faults(); fc.RebuildsStarted != 1 || fc.RebuildsDone != 1 {
@@ -488,9 +461,13 @@ func TestBatchThenCrash(t *testing.T) {
 // copies whose repairs the crash destroyed are badKnown already, so the
 // second scan's re-queue path, not fresh condemnation, has to find them.
 func TestCrashDuringRecoveryScan(t *testing.T) {
-	sim, a := crashArray(t, Volatile, func(o *Options) {
-		o.Crash.ScanMBps = 2 // slow the scan so the second crash lands mid-flight
-	})
+	sim, a := crashArray(t, Volatile, nil)
+	// Slow the scan so the second crash lands mid-flight.
+	tn := a.Tuning()
+	tn.RecoveryScanMBps = 2
+	if err := a.SetTuning(tn); err != nil {
+		t.Fatal(err)
+	}
 	outstanding := 0
 	crashMidLoad(t, sim, a, 80, 11, &outstanding)
 	if err := a.Recover(); err != nil {
@@ -500,7 +477,7 @@ func TestCrashDuringRecoveryScan(t *testing.T) {
 	// resolved — the window where a crash can strand them.
 	for {
 		rec := a.Recovery()
-		if a.RecoveryScanActive() && rec.RepairsQueued > rec.Repaired+rec.RepairsDropped {
+		if recoveryScanActive(a) && rec.RepairsQueued > rec.Repaired+rec.RepairsDropped {
 			break
 		}
 		if !sim.Step() {
@@ -510,7 +487,7 @@ func TestCrashDuringRecoveryScan(t *testing.T) {
 	if err := a.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	if a.RecoveryScanActive() {
+	if recoveryScanActive(a) {
 		t.Fatal("recovery scan still active on a crashed array")
 	}
 	// The crash sweep must resolve every repair it destroyed on the spot:

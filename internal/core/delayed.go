@@ -541,23 +541,6 @@ func (a *Array) promoteCopy(d *drive, c *delayedCopy) {
 	a.enqueue(d, req)
 }
 
-// RecoverDelayed replays the metadata table after a simulated crash: every
-// pending copy is reissued as a foreground write, exactly what the
-// prototype's NVRAM recovery did. It returns the number of copies
-// reissued.
-func (a *Array) RecoverDelayed() int {
-	total := 0
-	for _, d := range a.drives {
-		pending := d.delayed
-		d.delayed = nil
-		for _, c := range pending {
-			a.promoteCopy(d, c)
-			total++
-		}
-	}
-	return total
-}
-
 // Idle reports whether the array has no queued, in-flight, or delayed
 // work. An active rebuild counts as work even between paced chunks, and so
 // does a running scrub pass, so Drain waits for both to finish.

@@ -337,7 +337,7 @@ func (a *Array) finishRun(r *extentRun, last bus.Completion, clean bool) {
 			if a.opts.Health.Enabled {
 				a.observeHealth(d, last.Observed-start)
 			}
-			if a.opts.Hedge && a.opts.HedgeAfter == 0 && !req.Write && !req.Hedged {
+			if a.opts.Hedge && a.hedgeAfter == 0 && !req.Write && !req.Hedged {
 				a.hedgeLat.observe(last.Observed - start)
 			}
 		}
@@ -595,8 +595,8 @@ func (a *Array) bestAccess(d *drive, p *layout.Piece, tainted bool) des.Time {
 		if tainted && !a.usable(d, p.Chunk, j) {
 			continue
 		}
-		e := rep[0]
-		t := d.est.Access(d.bus.ArmState(), disk.Request{Start: e.Start, Count: e.Count}, a.sim.Now())
+		d.est.Prepare(&d.tgt, rep[0])
+		t := d.est.AccessPrepared(d.bus.ArmState(), &d.tgt, false, a.sim.Now())
 		if first || t < best {
 			best, first = t, false
 		}

@@ -150,10 +150,10 @@ func TestHedgedReadsReconcile(t *testing.T) {
 		o.DataSectors = 1 << 15
 		o.Faults = slowDrive0()
 		o.Hedge = true
-		o.HedgeAfter = 10 * des.Millisecond
 		o.Obs = reg
 		o.ObsLabel = "hedge-reconcile"
 	})
+	pinHedge(t, a, 10*des.Millisecond)
 	served, failed := closedLoopReads(t, sim, a, 800, 4, 11)
 	if failed != 0 || served != 800 {
 		t.Fatalf("served %d failed %d", served, failed)
@@ -168,7 +168,7 @@ func TestHedgedReadsReconcile(t *testing.T) {
 	if h.Issued != h.Won+h.Lost+h.Cancelled {
 		t.Fatalf("hedge counters do not reconcile: %+v", h)
 	}
-	rec := a.Obs()
+	rec := a.obsRec
 	if rec.HedgesIssued != h.Issued || rec.HedgesWon != h.Won ||
 		rec.HedgesLost != h.Lost || rec.HedgesCancelled != h.Cancelled {
 		t.Fatalf("obs hedge counters %d/%d/%d/%d != array %+v",
@@ -255,7 +255,7 @@ func TestAdmissionOverload(t *testing.T) {
 	if got := a.Sheds().Overload; got != int64(shed) {
 		t.Fatalf("Sheds().Overload = %d, want %d", got, shed)
 	}
-	if rec := a.Obs(); rec.ShedOverload != int64(shed) {
+	if rec := a.obsRec; rec.ShedOverload != int64(shed) {
 		t.Fatalf("obs ShedOverload = %d, want %d", rec.ShedOverload, shed)
 	}
 }
@@ -298,7 +298,7 @@ func TestReadDeadlineSheds(t *testing.T) {
 	if got := a.Sheds().Deadline; got != int64(deadline) {
 		t.Fatalf("Sheds().Deadline = %d, want %d", got, deadline)
 	}
-	if rec := a.Obs(); rec.ShedDeadline != int64(deadline) {
+	if rec := a.obsRec; rec.ShedDeadline != int64(deadline) {
 		t.Fatalf("obs ShedDeadline = %d, want %d", rec.ShedDeadline, deadline)
 	}
 	if !a.Drain(des.Hour) {
@@ -381,7 +381,6 @@ func TestBackgroundThrottleUnderOverload(t *testing.T) {
 // TestFailSlowOptionValidation: the new knobs reject nonsense.
 func TestFailSlowOptionValidation(t *testing.T) {
 	bad := []func(*Options){
-		func(o *Options) { o.HedgeAfter = -des.Millisecond },
 		func(o *Options) { o.MaxQueueDepth = -1 },
 		func(o *Options) { o.ReadDeadline = -des.Second },
 		func(o *Options) { o.Health = HealthOptions{Enabled: true, EvictRatio: 1.5} },

@@ -118,7 +118,7 @@ func TestPropagationDroppedOnFailure(t *testing.T) {
 	// Find a drive with pending delayed work and fail it.
 	failedOne := false
 	for i := 0; i < a.Disks(); i++ {
-		if a.DelayedLen(i) > 0 {
+		if len(a.drives[i].delayed) > 0 {
 			a.FailDrive(i)
 			failedOne = true
 			break

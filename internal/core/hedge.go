@@ -119,8 +119,8 @@ func (a *Array) Sheds() ShedCounters { return a.sheds }
 // meant to cut. The median stays honest as long as most reads land on
 // healthy drives.
 func (a *Array) hedgeDelay() (des.Time, bool) {
-	if a.opts.HedgeAfter > 0 {
-		return a.opts.HedgeAfter, true
+	if a.hedgeAfter > 0 {
+		return a.hedgeAfter, true
 	}
 	p99, ok := a.hedgeLat.quantile(0.99)
 	if !ok {

@@ -201,7 +201,7 @@ func TestNVRAMRoundTripUnderFaults(t *testing.T) {
 	}
 
 	// The crashed instance itself can also replay its table in place.
-	if got := a.RecoverDelayed(); got != len(entries) {
+	if got := recoverDelayed(a); got != len(entries) {
 		t.Fatalf("RecoverDelayed reissued %d, snapshot recorded %d", got, len(entries))
 	}
 	if !a.Drain(des.Hour) {

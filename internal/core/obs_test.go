@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -95,9 +96,9 @@ func TestObsReconciliation(t *testing.T) {
 		t.Fatalf("served %d of %d reads", served, ios)
 	}
 
-	rec := a.Obs()
-	if rec == nil || rec.Label() != "reconcile" {
-		t.Fatalf("recorder not attached: %v", rec)
+	rec := a.obsRec
+	if snap, err := reg.Snapshot(); rec == nil || err != nil || !bytes.Contains(snap, []byte(`"label": "reconcile"`)) {
+		t.Fatalf("recorder not attached under its label: %v, %v", rec, err)
 	}
 	s := totalsOf(rec)
 
@@ -157,7 +158,7 @@ func TestObsHistogramExcludesFaultedRuns(t *testing.T) {
 			}
 		}
 	}
-	s := totalsOf(a.Obs())
+	s := totalsOf(a.obsRec)
 	if s.faulted == 0 {
 		t.Fatal("fault rates produced no faulted runs; test is vacuous")
 	}
@@ -192,7 +193,7 @@ func TestObsDelayedWritesAndNVRAMGauge(t *testing.T) {
 	if !a.Drain(des.Hour) {
 		t.Fatal("drain failed")
 	}
-	rec := a.Obs()
+	rec := a.obsRec
 	s := totalsOf(rec)
 	// Each write lands one foreground copy and Dr-1 delayed propagations.
 	if s.cleanDelayedWrites != 50*int64(2-1) {
@@ -227,7 +228,7 @@ func TestObsDisabledLeavesArrayUntouched(t *testing.T) {
 			t.Fatal("stalled")
 		}
 	}
-	if a.Obs() != nil {
+	if a.obsRec != nil {
 		t.Fatal("recorder attached without a registry")
 	}
 }

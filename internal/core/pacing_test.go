@@ -106,7 +106,7 @@ func TestBackgroundPacingPinned(t *testing.T) {
 		if err := a.Recover(); err != nil {
 			t.Fatal(err)
 		}
-		if !a.RecoveryScanActive() || !a.RebuildProgress().Active || !a.ScrubProgress().Active {
+		if !recoveryScanActive(a) || !a.RebuildProgress().Active || !a.ScrubProgress().Active {
 			t.Fatal("recovery did not resume every job")
 		}
 		note("recover: tuning %+v", a.Tuning())
@@ -122,7 +122,7 @@ func TestBackgroundPacingPinned(t *testing.T) {
 			scrubbing = s
 			note("scrub active %v", s)
 		}
-		if s := a.RecoveryScanActive(); s != scanning {
+		if s := recoveryScanActive(a); s != scanning {
 			scanning = s
 			note("recovery scan active %v", s)
 		}
@@ -135,7 +135,7 @@ func TestBackgroundPacingPinned(t *testing.T) {
 	note("faults %+v", a.Faults())
 	note("scrub %+v", a.ScrubCounters())
 	note("recovery %+v time %v", rec, float64(rec.RecoveryTime))
-	note("tuning %+v drive 0 %v lost %d", a.Tuning(), a.DriveState(0), a.LostChunks())
+	note("tuning %+v drive 0 %v lost %d", a.Tuning(), a.DriveState(0), lostChunks(a))
 
 	h := fnv.New64a()
 	h.Write([]byte(log.String()))

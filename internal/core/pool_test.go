@@ -125,13 +125,13 @@ func hedgeRefStressRun(t *testing.T) string {
 	sim, a := newArray(t, layout.RAID10(4), "rsatf", func(o *Options) {
 		o.DataSectors = 1 << 15
 		o.Prototype = true
-		o.RecalibrateEvery = 20 * des.Millisecond
+		o.recalibrateEvery = 20 * des.Millisecond
 		o.Hedge = true
-		o.HedgeAfter = 5 * des.Millisecond
 		o.Faults = slowDrive0()
 		o.Spares = 1
 		o.Crash = CrashModel{Enabled: true}
 	})
+	pinHedge(t, a, 5*des.Millisecond)
 	boot := a.RefReads
 	rng := rand.New(rand.NewSource(3))
 	const total = 2000
@@ -377,7 +377,7 @@ func oracleStressRun(t *testing.T, cfg layout.Config, durability NVRAMDurability
 		t.Fatalf("crashes=%d recoveries=%d detected=%d scrub passes=%d rebuilds=%d owed=%d: the run missed a path it exists to cover",
 			rec.Crashes, rec.Recoveries, f.VerifyDetected, sc.Passes, f.RebuildsDone, owed)
 	}
-	if r := a.Obs(); r != nil {
+	if r := a.obsRec; r != nil {
 		var latent, corrupt, torn int64
 		for i := 0; i < r.Drives(); i++ {
 			d := r.Drive(i)
@@ -923,7 +923,7 @@ func (c freshPickCheck) Pick(now des.Time, arm disk.State, queue []*sched.Reques
 	exts := req.Replicas[got.Replica].Extents
 	var scratch des.Time
 	if len(exts) == 1 {
-		scratch = est.Access(arm, disk.Request{Start: exts[0].Start, Count: exts[0].Count, Write: req.Write}, now)
+		scratch = access(est, arm, disk.Request{Start: exts[0].Start, Count: exts[0].Count, Write: req.Write}, now)
 	} else {
 		scratch = est.AccessRun(arm, exts, req.Write, now)
 	}

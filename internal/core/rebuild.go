@@ -104,28 +104,6 @@ func (a *Array) RebuildProgress() RebuildProgress {
 	}
 }
 
-// LostChunks returns how many distinct chunks are permanently unreadable:
-// rows a slot drive marks lost, counting a chunk lost on several mirrors
-// once (FaultCounters.LostChunks counts every loss).
-func (a *Array) LostChunks() int {
-	g := a.opts.Config.Positions()
-	n := 0
-	for slot, d := range a.drives {
-		if d.missingRows == 0 {
-			continue
-		}
-		n += len(a.slotChunkList(slot, func(c int64) bool {
-			for o := slot - g; o >= 0; o -= g {
-				if a.freshAt(a.drives[o], c, 0)&rowLost != 0 {
-					return false // counted at the lower slot
-				}
-			}
-			return a.freshAt(d, c, 0)&rowLost != 0
-		}))
-	}
-	return n
-}
-
 // rebuildState is one in-progress reconstruction. Exactly one runs at a
 // time; further failures wait (degraded) until it finishes and another
 // spare is available.

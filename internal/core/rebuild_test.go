@@ -90,7 +90,7 @@ func writeAndCatchPropagation(t *testing.T, sim *des.Sim, a *Array) (src, dst in
 	}
 	src, dst = -1, -1
 	for i := 0; i < a.Disks(); i++ {
-		if a.DelayedLen(i) > 0 {
+		if len(a.drives[i].delayed) > 0 {
 			dst = i
 		} else {
 			src = i
@@ -593,8 +593,8 @@ func TestCondemnedRebuildSourceLosesChunk(t *testing.T) {
 		t.Fatalf("condemned read: %+v, want ErrDataLost", read)
 	}
 	f := a.Faults()
-	if f.LostChunks != 1 || f.RebuildsDone != 1 || a.LostChunks() != 1 {
-		t.Fatalf("lost %d chunks (%d distinct), %d rebuilds done; want 1, 1, 1", f.LostChunks, a.LostChunks(), f.RebuildsDone)
+	if f.LostChunks != 1 || f.RebuildsDone != 1 || lostChunks(a) != 1 {
+		t.Fatalf("lost %d chunks (%d distinct), %d rebuilds done; want 1, 1, 1", f.LostChunks, lostChunks(a), f.RebuildsDone)
 	}
 	if _, gated := a.writeGate[0]; gated {
 		t.Fatal("chunk 0's write gate still held after the rebuild")

@@ -75,19 +75,15 @@ func (a *Array) Recover() error {
 	if a.obsRec != nil {
 		a.obsRec.Recoveries++
 	}
-	now := a.sim.Now()
-	// NVRAM adoption: within the battery horizon every surviving table
-	// entry is reissued as a foreground write (AdoptNVRAM); a drained
-	// battery or volatile NVRAM loses the whole table.
+	// NVRAM adoption: battery-backed NVRAM reissues every surviving table
+	// entry as a foreground write (AdoptNVRAM); volatile NVRAM loses the
+	// whole table.
 	adopted := 0
 	if snap := a.crashSnap; snap != nil {
-		horizon := a.opts.Crash.BatteryHorizon
-		if horizon == 0 || now <= a.crashAt+horizon {
-			n, err := a.AdoptNVRAM(snap)
-			adopted = n
-			if err != nil {
-				return err
-			}
+		n, err := a.AdoptNVRAM(snap)
+		adopted = n
+		if err != nil {
+			return err
 		}
 	}
 	a.crashSnap = nil
@@ -147,7 +143,7 @@ type recoveryScan struct {
 	done    bool
 	started des.Time
 	// pace charges each copy as it is visited, recoveryScanBatch per
-	// event, at the array's current Crash.ScanMBps.
+	// event, at the array's current Tuning.RecoveryScanMBps.
 	pace des.Pacer
 }
 
@@ -190,7 +186,7 @@ func (a *Array) recScanStep(s *recoveryScan) bool {
 	}
 	// Every tick fires at the pacer's ready instant, so each Take books
 	// its copy directly behind the previous one.
-	s.pace.Take(a.sim.Now(), a.chunkBytes(chunk), a.opts.Crash.ScanMBps)
+	s.pace.Take(a.sim.Now(), a.chunkBytes(chunk), a.scanMBps)
 	d := a.drives[slot]
 	if !a.holds(d, chunk) {
 		return true // gone or awaiting rebuild; nothing to reconcile here
@@ -225,10 +221,4 @@ func (a *Array) repairPending(d *drive, chunk int64, replica int) bool {
 		}
 	}
 	return false
-}
-
-// RecoveryScanActive reports whether a post-crash divergence scan is still
-// running.
-func (a *Array) RecoveryScanActive() bool {
-	return a.recScan != nil && !a.recScan.done
 }

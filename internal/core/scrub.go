@@ -31,12 +31,8 @@ const DefaultScrubMBps = 4.0
 
 // ScrubOptions configures the background scrubber.
 type ScrubOptions struct {
-	// Enabled starts the scrubber at array construction (via
-	// Options.Scrub). StartScrub ignores it.
-	Enabled bool
-	// MBps caps the verify-read bandwidth per pass. 0 means
-	// DefaultScrubMBps in Options.Scrub, and the array's current scrub
-	// rate (Tuning.ScrubMBps) in StartScrub.
+	// MBps caps the verify-read bandwidth per pass. 0 means the array's
+	// current scrub rate (Tuning.ScrubMBps, DefaultScrubMBps until set).
 	MBps float64
 	// Passes is how many full passes to run before the scrubber retires;
 	// 0 means 1.
@@ -117,7 +113,7 @@ func (a *Array) StartScrub(o ScrubOptions) error {
 	if a.scrub != nil && !a.scrub.done {
 		return fmt.Errorf("core: scrub already running")
 	}
-	o.MBps = orDefault(o.MBps, a.opts.Scrub.MBps)
+	o.MBps = orDefault(o.MBps, a.scrubMBps)
 	if o.Passes == 0 {
 		o.Passes = 1
 	}

@@ -9,15 +9,15 @@ import (
 // Tuning is the runtime-adjustable slice of Options — the actuators an SLO
 // controller (or an operator) may step while the array is live: hedging
 // aggressiveness, admission depth, and the pacing of every class of
-// background work. Each field keeps the semantics of its Options
-// counterpart (0 selects the documented default / adaptive mode); setters
-// validate exactly like New, so a live array can never be tuned into a
-// configuration construction would have rejected. Array.Tuning reports
-// the background rates in effect, never 0.
+// background work. MaxQueueDepth and RebuildMBps start from their Options
+// counterparts, the rest from their defaults; 0 selects the documented
+// default / adaptive mode. Setters validate exactly like New, so a live
+// array can never be tuned into a configuration construction would have
+// rejected. Array.Tuning reports the background rates in effect, never 0.
 type Tuning struct {
-	// HedgeAfter is the hedged-read delay (Options.HedgeAfter): 0 means
-	// adaptive p99-derived, positive pins it. Ignored unless hedging was
-	// enabled at construction.
+	// HedgeAfter is the hedged-read delay: 0 (the default) means adaptive
+	// p99-derived, positive pins it. Ignored unless Options.Hedge enabled
+	// hedging at construction.
 	HedgeAfter des.Time
 	// MaxQueueDepth is the admission-control shed depth
 	// (Options.MaxQueueDepth); 0 disables shedding.
@@ -39,11 +39,11 @@ type Tuning struct {
 // value round-trips through SetTuning unchanged.
 func (a *Array) Tuning() Tuning {
 	t := Tuning{
-		HedgeAfter:       a.opts.HedgeAfter,
+		HedgeAfter:       a.hedgeAfter,
 		MaxQueueDepth:    a.opts.MaxQueueDepth,
 		RebuildMBps:      a.opts.RebuildMBps,
-		ScrubMBps:        a.opts.Scrub.MBps,
-		RecoveryScanMBps: a.opts.Crash.ScanMBps,
+		ScrubMBps:        a.scrubMBps,
+		RecoveryScanMBps: a.scanMBps,
 	}
 	if s := a.scrub; s != nil && !s.done {
 		t.ScrubMBps = s.opts.MBps
@@ -66,14 +66,14 @@ func (a *Array) SetTuning(t Tuning) error {
 	if t.RebuildMBps < 0 || t.ScrubMBps < 0 || t.RecoveryScanMBps < 0 {
 		return fmt.Errorf("core: negative background bandwidth in %+v", t)
 	}
-	a.opts.HedgeAfter = t.HedgeAfter
+	a.hedgeAfter = t.HedgeAfter
 	a.opts.MaxQueueDepth = t.MaxQueueDepth
 	a.opts.RebuildMBps = orDefault(t.RebuildMBps, DefaultRebuildMBps)
-	a.opts.Scrub.MBps = orDefault(t.ScrubMBps, DefaultScrubMBps)
+	a.scrubMBps = orDefault(t.ScrubMBps, DefaultScrubMBps)
 	if s := a.scrub; s != nil && !s.done {
-		s.opts.MBps = a.opts.Scrub.MBps
+		s.opts.MBps = a.scrubMBps
 	}
-	a.opts.Crash.ScanMBps = orDefault(t.RecoveryScanMBps, DefaultRecoveryScanMBps)
+	a.scanMBps = orDefault(t.RecoveryScanMBps, DefaultRecoveryScanMBps)
 	return nil
 }
 

@@ -134,10 +134,9 @@ func (q *eventQueue) pop() event {
 
 // Sim is a discrete-event simulator. The zero value is not usable; call New.
 type Sim struct {
-	now     Time
-	events  eventQueue
-	seq     uint64
-	stopped bool
+	now    Time
+	events eventQueue
+	seq    uint64
 	// Processed counts events executed; useful for run-away detection in
 	// tests.
 	Processed uint64
@@ -183,13 +182,7 @@ func (s *Sim) After(d Time, fn func()) {
 	s.At(s.now+d, fn)
 }
 
-// Pending reports the number of queued events.
-func (s *Sim) Pending() int { return len(s.events.ev) }
-
-// Stop halts the current Run/RunUntil after the in-flight event returns.
-func (s *Sim) Stop() { s.stopped = true }
-
-// Run executes events until the queue drains or Stop is called.
+// Run executes events until the queue drains.
 func (s *Sim) Run() {
 	s.RunUntil(Time(math.Inf(1)))
 }
@@ -198,8 +191,7 @@ func (s *Sim) Run() {
 // t (if the queue drained earlier, the clock still lands on t so periodic
 // processes observe a consistent horizon).
 func (s *Sim) RunUntil(t Time) {
-	s.stopped = false
-	for !s.stopped && len(s.events.ev) > 0 {
+	for len(s.events.ev) > 0 {
 		if s.events.ev[0].at > t {
 			break
 		}
@@ -208,7 +200,7 @@ func (s *Sim) RunUntil(t Time) {
 		s.Processed++
 		e.call()
 	}
-	if !s.stopped && s.now < t && !math.IsInf(float64(t), 1) {
+	if s.now < t && !math.IsInf(float64(t), 1) {
 		s.now = t
 	}
 }
@@ -235,18 +227,12 @@ func (s *Sim) nextAt() (Time, bool) {
 	return s.events.ev[0].at, true
 }
 
-// NextAt reports the timestamp of the earliest pending event, ok=false
-// when the queue is empty. Lockstep co-simulation drivers use it to pick
-// which of several independent Sims to Step next.
-func (s *Sim) NextAt() (Time, bool) { return s.nextAt() }
-
 // runBefore executes events with timestamps strictly below t — the
 // half-open epoch window of the Sharded engine. The clock is left at the
 // last executed event (not advanced to t), so events injected at the epoch
 // barrier with at >= t remain schedulable.
 func (s *Sim) runBefore(t Time) {
-	s.stopped = false
-	for !s.stopped && len(s.events.ev) > 0 {
+	for len(s.events.ev) > 0 {
 		if s.events.ev[0].at >= t {
 			break
 		}

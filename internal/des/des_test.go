@@ -100,26 +100,6 @@ func TestNegativeDelayPanics(t *testing.T) {
 	s.After(-1, func() {})
 }
 
-func TestStop(t *testing.T) {
-	s := New()
-	count := 0
-	for i := 0; i < 10; i++ {
-		s.At(Time(i), func() {
-			count++
-			if count == 3 {
-				s.Stop()
-			}
-		})
-	}
-	s.Run()
-	if count != 3 {
-		t.Fatalf("processed %d events after Stop, want 3", count)
-	}
-	if s.Pending() != 7 {
-		t.Fatalf("pending = %d, want 7", s.Pending())
-	}
-}
-
 func TestStep(t *testing.T) {
 	s := New()
 	n := 0
@@ -210,8 +190,8 @@ func TestPoppedEventsReleaseClosures(t *testing.T) {
 	// Keep the queue (and its backing array) alive while draining it.
 	s.At(2, func() {})
 	s.Run()
-	if s.Pending() != 0 {
-		t.Fatalf("queue not drained: %d pending", s.Pending())
+	if len(s.events.ev) != 0 {
+		t.Fatalf("queue not drained: %d pending", len(s.events.ev))
 	}
 	for i := 0; i < 5 && !collected.Load(); i++ {
 		runtime.GC()
@@ -315,7 +295,7 @@ func TestStressNestedScheduling(t *testing.T) {
 	if count < 200 {
 		t.Fatalf("only %d events ran", count)
 	}
-	if s.Pending() != 0 {
-		t.Fatalf("%d events left", s.Pending())
+	if len(s.events.ev) != 0 {
+		t.Fatalf("%d events left", len(s.events.ev))
 	}
 }

@@ -64,11 +64,9 @@ func ShardWorkers() int {
 
 // message is one buffered cross-shard event.
 type message struct {
-	to  int
-	at  Time
-	fn  func()
-	fnA func(any)
-	arg any
+	to int
+	at Time
+	fn func()
 }
 
 // Sharded coordinates n shards under one lookahead window. Construct with
@@ -157,36 +155,17 @@ func (sh *Sharded) Processed() uint64 {
 	return n
 }
 
-// Pending sums queued events across shards (excluding buffered messages).
-func (sh *Sharded) Pending() int {
-	n := 0
-	for _, s := range sh.shards {
-		n += s.Pending()
-	}
-	return n
-}
-
 // Send schedules fn on shard `to` at absolute time `at` from within an
 // event executing on shard `from`. The conservative constraint is
 // validated: at must be >= the sender's clock plus the lookahead.
 // Violations panic — they indicate the declared lookahead overstates the
 // real coupling latency, which would silently break determinism.
 func (sh *Sharded) Send(from, to int, at Time, fn func()) {
-	sh.send(from, message{to: to, at: at, fn: fn})
-}
-
-// SendArg is Send in the allocation-free func(any) form.
-func (sh *Sharded) SendArg(from, to int, at Time, fn func(any), arg any) {
-	sh.send(from, message{to: to, at: at, fnA: fn, arg: arg})
-}
-
-func (sh *Sharded) send(from int, m message) {
-	min := sh.shards[from].Now() + sh.lookahead
-	if m.at < min {
+	if min := sh.shards[from].Now() + sh.lookahead; at < min {
 		panic(fmt.Sprintf("des: cross-shard event at %v violates lookahead (shard %d now %v + %v)",
-			m.at, from, sh.shards[from].Now(), sh.lookahead))
+			at, from, sh.shards[from].Now(), sh.lookahead))
 	}
-	sh.out[from] = append(sh.out[from], m)
+	sh.out[from] = append(sh.out[from], message{to: to, at: at, fn: fn})
 }
 
 // Run executes until every shard drains and no messages remain buffered.
@@ -321,12 +300,7 @@ func (sh *Sharded) deliver() {
 			continue
 		}
 		for _, m := range buf {
-			tgt := sh.shards[m.to]
-			if m.fnA != nil {
-				tgt.AtArg(m.at, m.fnA, m.arg)
-			} else {
-				tgt.At(m.at, m.fn)
-			}
+			sh.shards[m.to].At(m.at, m.fn)
 		}
 		sh.out[from] = buf[:0]
 	}

@@ -48,8 +48,10 @@ func pingPong(t *testing.T, shards, workers int, seed int64) string {
 		sh.Shard(i).At(Time(i), func() { hop(i, 40) })
 	}
 	sh.Run()
-	if sh.Pending() != 0 {
-		t.Fatalf("%d events left", sh.Pending())
+	for i, s := range sh.shards {
+		if len(s.events.ev) != 0 {
+			t.Fatalf("shard %d: %d events left", i, len(s.events.ev))
+		}
 	}
 	out := ""
 	for i, l := range logs {
@@ -131,23 +133,6 @@ func TestAtArgOrdering(t *testing.T) {
 	s.Run()
 	if fmt.Sprint(got) != "[arg2 closure@5 arg1]" {
 		t.Fatalf("order %v", got)
-	}
-}
-
-// SendArg delivers the allocation-free form across shards.
-func TestShardedSendArg(t *testing.T) {
-	sh := NewSharded(2, 10)
-	hits := 0
-	type box struct{ n int }
-	b := &box{41}
-	sh.Shard(0).At(0, func() {
-		sh.SendArg(0, 1, 20, func(a any) {
-			hits = a.(*box).n + 1
-		}, b)
-	})
-	sh.Run()
-	if hits != 42 {
-		t.Fatalf("hits = %d", hits)
 	}
 }
 

@@ -145,9 +145,6 @@ func (g *Geometry) ZoneOf(c int) *Zone { return &g.Zones[g.cylZone[c]] }
 // SPTOf returns sectors-per-track at cylinder c.
 func (g *Geometry) SPTOf(c int) int { return g.ZoneOf(c).SPT }
 
-// ZoneIndexOf returns the index of the zone containing cylinder c.
-func (g *Geometry) ZoneIndexOf(c int) int { return int(g.cylZone[c]) }
-
 // TotalSectors reports the number of logical (addressable) sectors.
 func (g *Geometry) TotalSectors() int64 { return g.logicalSizeLB }
 

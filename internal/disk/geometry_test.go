@@ -222,11 +222,11 @@ func TestZoneIndexOf(t *testing.T) {
 	d := testDisk(t)
 	g := d.Geom
 	for i, z := range g.Zones {
-		if got := g.ZoneIndexOf(z.StartCyl); got != i {
-			t.Errorf("ZoneIndexOf(%d) = %d, want %d", z.StartCyl, got, i)
+		if got := g.ZoneOf(z.StartCyl); got != &g.Zones[i] {
+			t.Errorf("ZoneOf(%d) = zone %+v, want zone %d", z.StartCyl, *got, i)
 		}
-		if got := g.ZoneIndexOf(z.EndCyl); got != i {
-			t.Errorf("ZoneIndexOf(%d) = %d, want %d", z.EndCyl, got, i)
+		if got := g.ZoneOf(z.EndCyl); got != &g.Zones[i] {
+			t.Errorf("ZoneOf(%d) = zone %+v, want zone %d", z.EndCyl, *got, i)
 		}
 	}
 }

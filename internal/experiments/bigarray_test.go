@@ -9,38 +9,23 @@ import (
 )
 
 // runLockstep is the reference driver the epoch engine is held to: the
-// naive way to co-simulate independent sims, scanning all of them for the
-// globally earliest event, stepping that one, and injecting cross-sim
-// events directly. It takes the same build callback as runSharded and
+// naive way to co-simulate, with every brick and the router on one sim, so
+// events run in global (time, schedule order) and cross-brick events are
+// injected directly. It takes the same build callback as runSharded and
 // returns the same world and event count.
 func runLockstep[C any](bricks int, build buildFn[C]) (C, uint64, error) {
+	sim := des.New()
 	sims := make([]*des.Sim, bricks+1)
 	for i := range sims {
-		sims[i] = des.New()
+		sims[i] = sim
 	}
-	send := func(from, to int, at des.Time, fn func()) { sims[to].At(at, fn) }
+	send := func(from, to int, at des.Time, fn func()) { sim.At(at, fn) }
 	c, err := build(sims, send)
 	if err != nil {
 		return c, 0, err
 	}
-	for {
-		best := -1
-		var bt des.Time
-		for i, s := range sims {
-			if at, ok := s.NextAt(); ok && (best < 0 || at < bt) {
-				best, bt = i, at
-			}
-		}
-		if best < 0 {
-			break
-		}
-		sims[best].Step()
-	}
-	var events uint64
-	for _, s := range sims {
-		events += s.Processed
-	}
-	return c, events, nil
+	sim.Run()
+	return c, sim.Processed, nil
 }
 
 // runBigArrayLockstep executes the big-array cluster under runLockstep.

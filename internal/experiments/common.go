@@ -47,11 +47,6 @@ type Config struct {
 	Format string
 }
 
-// Default returns the fast configuration used by tests and benches.
-func Default() Config {
-	return Config{TraceIOs: 3000, IometerIOs: 2500, Seed: 1}
-}
-
 // ReportPad is added to every reported macro response time. The paper
 // reports a fixed 2.7 ms of "processing times, transfer costs, track
 // switch time, and mechanical acceleration/deceleration"; the simulated

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/runner"
-	"repro/internal/tracegen"
 )
 
 // TestParallelMatchesSequential is the runner's contract check: the same
@@ -87,13 +86,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			prev := runner.SetParallelism(1)
 			defer runner.SetParallelism(prev)
-			tracegen.ResetCache()
 			seq, err := c.run()
 			if err != nil {
 				t.Fatal(err)
 			}
 			runner.SetParallelism(8)
-			tracegen.ResetCache()
 			par, err := c.run()
 			if err != nil {
 				t.Fatal(err)

@@ -6,8 +6,14 @@ import (
 	"testing"
 )
 
+// testConfig returns the configuration the shape tests run at: the CLI's
+// default scale, seed 1.
+func testConfig() Config {
+	return Config{TraceIOs: 3000, IometerIOs: 2500, Seed: 1}
+}
+
 // The experiment tests assert the paper's qualitative shapes — who wins,
-// on which side crossovers fall, how curves move — at the Default() run
+// on which side crossovers fall, how curves move — at the testConfig() run
 // scale. Absolute microseconds are not asserted (the substrate is a
 // simulator, not the authors' testbed).
 
@@ -21,7 +27,7 @@ func TestTable1Renders(t *testing.T) {
 }
 
 func TestTable2HeadPredictionAccuracy(t *testing.T) {
-	r, err := Table2(Default())
+	r, err := Table2(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +53,7 @@ func TestTable2HeadPredictionAccuracy(t *testing.T) {
 }
 
 func TestTable3MatchesTargets(t *testing.T) {
-	res := Table3(Default())
+	res := Table3(testConfig())
 	if len(res.Rows) != 3 {
 		t.Fatalf("%d rows", len(res.Rows))
 	}
@@ -73,7 +79,7 @@ func rel(a, b float64) float64 {
 }
 
 func TestFigure5SimulatorValidatesPrototype(t *testing.T) {
-	f, err := Figure5(Default())
+	f, err := Figure5(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +108,7 @@ func TestFigure5SimulatorValidatesPrototype(t *testing.T) {
 }
 
 func TestFigure6Shapes(t *testing.T) {
-	f, err := Figure6(Default(), "cello-base")
+	f, err := Figure6(testConfig(), "cello-base")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +144,7 @@ func TestFigure6Shapes(t *testing.T) {
 }
 
 func TestFigure7ModelPicksNearBest(t *testing.T) {
-	f, err := Figure7(Default(), "cello-base")
+	f, err := Figure7(testConfig(), "cello-base")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +171,7 @@ func TestFigure7ModelPicksNearBest(t *testing.T) {
 }
 
 func TestFigure8TPCCOrdering(t *testing.T) {
-	f, err := Figure8(Default())
+	f, err := Figure8(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +189,7 @@ func TestFigure8TPCCOrdering(t *testing.T) {
 }
 
 func TestFigure9SchedulerGaps(t *testing.T) {
-	f, err := Figure9(Default(), "cello-base")
+	f, err := Figure9(testConfig(), "cello-base")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +235,7 @@ func sustainableRate(f *Figure, label string, limit float64) float64 {
 }
 
 func TestFigure10CelloSustainableRates(t *testing.T) {
-	f, err := Figure10(Default(), "cello-base")
+	f, err := Figure10(testConfig(), "cello-base")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +260,7 @@ func TestFigure10CelloSustainableRates(t *testing.T) {
 }
 
 func TestFigure10TPCCBestConfigShifts(t *testing.T) {
-	f, err := Figure10(Default(), "tpcc")
+	f, err := Figure10(testConfig(), "tpcc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +315,7 @@ func TestFigure10TPCCBestConfigShifts(t *testing.T) {
 }
 
 func TestFigure11MemoryVsDisks(t *testing.T) {
-	f, err := Figure11(Default(), "cello-base")
+	f, err := Figure11(testConfig(), "cello-base")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +353,7 @@ func TestFigure11MemoryVsDisks(t *testing.T) {
 }
 
 func TestFigure12ThroughputScaling(t *testing.T) {
-	f, err := Figure12(Default())
+	f, err := Figure12(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +405,7 @@ func itoa(v int) string {
 }
 
 func TestFigure13WriteRatioCrossover(t *testing.T) {
-	f, err := Figure13(Default())
+	f, err := Figure13(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +461,7 @@ func TestRegistryRunsEverything(t *testing.T) {
 }
 
 func TestAblationReplicaPlacementMatchesModels(t *testing.T) {
-	f := AblationReplicaPlacement(Default())
+	f := AblationReplicaPlacement(testConfig())
 	for _, dr := range []float64{2, 3, 6} {
 		even := f.At("evenly spaced", dr)
 		random := f.At("randomly placed", dr)
@@ -472,7 +478,7 @@ func TestAblationReplicaPlacementMatchesModels(t *testing.T) {
 }
 
 func TestAblationMirrorSched(t *testing.T) {
-	f, err := AblationMirrorSched(Default())
+	f, err := AblationMirrorSched(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +494,7 @@ func TestAblationMirrorSched(t *testing.T) {
 }
 
 func TestAblationOpportunisticSavesRefReads(t *testing.T) {
-	f, err := AblationOpportunistic(Default())
+	f, err := AblationOpportunistic(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +511,7 @@ func TestAblationOpportunisticSavesRefReads(t *testing.T) {
 }
 
 func TestAblationCoalesceSavesMediaWrites(t *testing.T) {
-	f, err := AblationCoalesce(Default())
+	f, err := AblationCoalesce(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +528,7 @@ func TestAblationCoalesceSavesMediaWrites(t *testing.T) {
 }
 
 func TestAblationSlackTradeoff(t *testing.T) {
-	f, err := AblationSlack(Default())
+	f, err := AblationSlack(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +540,7 @@ func TestAblationSlackTradeoff(t *testing.T) {
 }
 
 func TestAblationIntraTrackBandwidth(t *testing.T) {
-	f, err := AblationIntraTrack(Default())
+	f, err := AblationIntraTrack(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +560,7 @@ func TestAblationIntraTrackBandwidth(t *testing.T) {
 }
 
 func TestSection25SRArrayVsStripedMirror(t *testing.T) {
-	f, err := Section25(Default())
+	f, err := Section25(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -570,7 +576,7 @@ func TestSection25SRArrayVsStripedMirror(t *testing.T) {
 }
 
 func TestSensitivityDirections(t *testing.T) {
-	f, err := Sensitivity(Default())
+	f, err := Sensitivity(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,7 +600,7 @@ func TestSensitivityDirections(t *testing.T) {
 }
 
 func TestTCQHostSchedulingWins(t *testing.T) {
-	f, err := TCQ(Default())
+	f, err := TCQ(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,7 +625,7 @@ func TestTCQHostSchedulingWins(t *testing.T) {
 }
 
 func TestAblationAgingBoundsTail(t *testing.T) {
-	f, err := AblationAging(Default())
+	f, err := AblationAging(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -634,7 +640,7 @@ func TestAblationAgingBoundsTail(t *testing.T) {
 }
 
 func TestSummaryAllClaimsHold(t *testing.T) {
-	s, err := Summary(Default())
+	s, err := Summary(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -649,7 +655,7 @@ func TestSummaryAllClaimsHold(t *testing.T) {
 }
 
 func TestBreakdownShowsTheTradeoff(t *testing.T) {
-	f, err := Breakdown(Default())
+	f, err := Breakdown(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

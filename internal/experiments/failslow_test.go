@@ -11,7 +11,7 @@ import (
 // drive must visibly degrade the p99 read tail, and hedging + eviction
 // must recover at least half of the gap back toward the all-healthy tail.
 func TestFailSlowRecovery(t *testing.T) {
-	fig, err := FailSlow(Default())
+	fig, err := FailSlow(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 // pass no corrupt data may be returned undetected and at least 95% of the
 // injected poison must be repaired by the end of the run.
 func TestScrubTolerance(t *testing.T) {
-	fig, err := Scrub(Default())
+	fig, err := Scrub(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import "testing"
 // accounting equal to the array's shed counter); the test checks the load
 // actually flowed and both rejection layers fired.
 func TestService(t *testing.T) {
-	c := Default()
+	c := testConfig()
 	c.IometerIOs = 25 // 10k requests; default 2500 drives the full 1M
 	fig, err := Service(c)
 	if err != nil {

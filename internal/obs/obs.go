@@ -498,9 +498,6 @@ type Recorder struct {
 	RecoveryRepaired  int64
 }
 
-// Label returns the recorder's registry label.
-func (r *Recorder) Label() string { return r.label }
-
 // Drive returns drive i's metrics slot.
 func (r *Recorder) Drive(i int) *DriveMetrics { return &r.drives[i] }
 

@@ -162,12 +162,6 @@ func New(policy string) (Scheduler, error) {
 	}
 }
 
-// IsRotationAware reports whether a policy name exploits rotational
-// replicas.
-func IsRotationAware(policy string) bool {
-	return policy == "rlook" || policy == "rsatf" || policy == "rfcfs" || policy == "rasatf"
-}
-
 // priorityPick returns any pending priority request (served FCFS among
 // themselves), used by every policy: reference-sector reads must not
 // starve behind a long scan or the head tracker drifts.

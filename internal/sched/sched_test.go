@@ -108,8 +108,8 @@ func TestSATFPicksShortestAccess(t *testing.T) {
 	}
 	if got := []*Request{far, near}[c.Index]; got.ID != 1 {
 		// Rotationally unlucky near choice can lose; verify via estimates.
-		tNear := e.Access(disk.State{Cyl: 1000}, disk.Request{Start: near.Replicas[0].Extents[0].Start, Count: 8}, 0)
-		tFar := e.Access(disk.State{Cyl: 1000}, disk.Request{Start: far.Replicas[0].Extents[0].Start, Count: 8}, 0)
+		tNear := access(e, disk.State{Cyl: 1000}, disk.Request{Start: near.Replicas[0].Extents[0].Start, Count: 8}, 0)
+		tFar := access(e, disk.State{Cyl: 1000}, disk.Request{Start: far.Replicas[0].Extents[0].Start, Count: 8}, 0)
 		if tNear < tFar {
 			t.Fatalf("SATF picked ID %d (%v) over cheaper (%v)", got.ID, tFar, tNear)
 		}
@@ -202,12 +202,44 @@ func TestPriorityRequestsJumpTheQueue(t *testing.T) {
 	}
 }
 
-func TestIsRotationAware(t *testing.T) {
-	if !IsRotationAware("rlook") || !IsRotationAware("rsatf") {
-		t.Error("rlook/rsatf should be rotation aware")
+// isRotationAware reports whether the scheduler New builds for policy
+// picks among rotational replicas.
+func isRotationAware(t *testing.T, policy string) bool {
+	t.Helper()
+	s, err := New(policy)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if IsRotationAware("satf") || IsRotationAware("look") {
-		t.Error("satf/look are not rotation aware")
+	switch s := s.(type) {
+	case fcfs:
+		return s.rotational
+	case *look:
+		return s.rotational
+	case *satf:
+		return s.rotational
+	}
+	t.Fatalf("%s: unexpected scheduler %T", policy, s)
+	return false
+}
+
+// access predicts one unprepared request the way a one-off caller does:
+// prepare a target, then evaluate it.
+func access(est calib.AccessEstimator, st disk.State, req disk.Request, now des.Time) des.Time {
+	var tg disk.Target
+	est.Prepare(&tg, disk.Extent{Start: req.Start, Count: req.Count})
+	return est.AccessPrepared(st, &tg, req.Write, now)
+}
+
+func TestIsRotationAware(t *testing.T) {
+	for _, p := range []string{"rfcfs", "rlook", "rsatf", "rasatf"} {
+		if !isRotationAware(t, p) {
+			t.Errorf("%s should be rotation aware", p)
+		}
+	}
+	for _, p := range []string{"fcfs", "look", "satf", "asatf"} {
+		if isRotationAware(t, p) {
+			t.Errorf("%s is not rotation aware", p)
+		}
 	}
 }
 
@@ -339,7 +371,7 @@ func TestAgedNames(t *testing.T) {
 			t.Errorf("New(%q) -> %v, %v", name, s, err)
 		}
 	}
-	if !IsRotationAware("rasatf") {
+	if !isRotationAware(t, "rasatf") {
 		t.Error("rasatf should be rotation aware")
 	}
 }

@@ -18,7 +18,7 @@ import (
 // testCluster builds a colocated 3-brick R=2 replicated volume for the
 // gateway to front. The returned sim is only safe to touch before the
 // harness starts (pre-arming fault events) or after it closes.
-func testCluster(t *testing.T) (*des.Sim, *cluster.Cluster) {
+func testCluster(t *testing.T) (*des.Sim, *cluster.Cluster, []core.Volume) {
 	t.Helper()
 	sim := des.New()
 	bricks := make([]core.Volume, 3)
@@ -39,7 +39,7 @@ func testCluster(t *testing.T) (*des.Sim, *cluster.Cluster) {
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)
 	}
-	return sim, cl
+	return sim, cl, bricks
 }
 
 // TestRealTimeClusterBrickCrash fronts a replicated cluster with the
@@ -48,16 +48,16 @@ func testCluster(t *testing.T) (*des.Sim, *cluster.Cluster) {
 // quorum writes, never surfaced — and after the drain the divergence
 // counters reconcile exactly.
 func TestRealTimeClusterBrickCrash(t *testing.T) {
-	sim, cl := testCluster(t)
+	sim, cl, bricks := testCluster(t)
 	// Pre-arm the outage on the virtual clock: crash early enough to land
 	// under traffic, recover late enough that backfill runs in the drain.
 	sim.At(3*des.Millisecond, func() {
-		if err := cl.CrashBrick(1); err != nil {
-			t.Errorf("CrashBrick: %v", err)
+		if err := bricks[1].Crash(); err != nil {
+			t.Errorf("Crash: %v", err)
 		}
 	})
 	sim.At(80*des.Millisecond, func() {
-		if err := cl.Brick(1).Recover(); err != nil {
+		if err := bricks[1].Recover(); err != nil {
 			t.Errorf("Recover: %v", err)
 		}
 	})
@@ -121,7 +121,7 @@ func TestRealTimeClusterBrickCrash(t *testing.T) {
 // clean gateway-closed 503), and the shutdown drain settles the cluster's
 // background machinery.
 func TestRealTimeClusterGracefulDrain(t *testing.T) {
-	_, cl := testCluster(t)
+	_, cl, _ := testCluster(t)
 	h := NewHarness(cl, Config{})
 	const tenants, per = 6, 20
 	results := make(chan Response, tenants*per)
@@ -172,14 +172,14 @@ func TestRealTimeClusterGracefulDrain(t *testing.T) {
 }
 
 // TestUnavailableRetryAfterHint pins the 503 half of the Retry-After
-// contract: a crashed-volume rejection carries the configured hint in the
+// contract: a crashed-volume rejection carries the 5ms hint in the
 // same three places the 429 path does (Retry-After, X-Retry-After-Us,
 // body), while gateway-closed 503s stay hintless.
 func TestUnavailableRetryAfterHint(t *testing.T) {
 	vol := testVolume(t, func(o *core.Options) {
 		o.Crash = core.CrashModel{Enabled: true, Durability: core.BatteryBacked}
 	})
-	h := NewHarness(vol, Config{Limits: Limits{UnavailableRetryAfter: 7 * des.Millisecond}})
+	h := NewHarness(vol, Config{})
 	defer func() {
 		if err := h.Close(); err != nil {
 			t.Errorf("Close: %v", err)
@@ -193,11 +193,11 @@ func TestUnavailableRetryAfterHint(t *testing.T) {
 		t.Fatalf("read on crashed volume: %d %s", hr.StatusCode, body)
 	}
 	if got := hr.Header.Get("Retry-After"); got != "0" {
-		t.Errorf("Retry-After %q, want 0 (floor of 7ms)", got)
+		t.Errorf("Retry-After %q, want 0 (floor of 5ms)", got)
 	}
 	us, err := strconv.ParseFloat(hr.Header.Get("X-Retry-After-Us"), 64)
-	if err != nil || us != 7000 {
-		t.Errorf("X-Retry-After-Us %q, want 7000", hr.Header.Get("X-Retry-After-Us"))
+	if err != nil || us != 5000 {
+		t.Errorf("X-Retry-After-Us %q, want 5000", hr.Header.Get("X-Retry-After-Us"))
 	}
 	var resp apiResponse
 	if err := json.Unmarshal(body, &resp); err != nil || resp.RetryAfterUs != us {

@@ -341,7 +341,7 @@ func (g *Gateway) admit(batch []*call) {
 					// The outage that failed this request is the kind a
 					// probe cycle can heal: tell the client when to retry,
 					// same contract as the 429 path.
-					retryAfter = g.cfg.Limits.unavailableRetryAfter()
+					retryAfter = unavailableRetryAfter
 				}
 				if r.Err != nil {
 					errText = r.Err.Error()
@@ -372,7 +372,7 @@ func (g *Gateway) admit(batch []*call) {
 			// back; hint like the 429 path does. (A cluster-backed volume
 			// only rejects this way when every replica is down — partial
 			// outages fail over inside the cluster and never surface here.)
-			resp.RetryAfter = g.cfg.Limits.unavailableRetryAfter()
+			resp.RetryAfter = unavailableRetryAfter
 		}
 		if resp.Status == StatusUnavailable || resp.Status == StatusFailed {
 			// 5xx-class synchronous rejections (a crashed array) are SLO

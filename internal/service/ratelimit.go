@@ -14,32 +14,24 @@ type TenantLimit struct {
 }
 
 // Limits is the gateway's rate-limit policy: a default bucket shape with
-// per-tenant overrides, plus the Retry-After hint attached to 503s a full
-// outage causes.
+// per-tenant overrides.
 type Limits struct {
 	Default   TenantLimit
 	PerTenant map[string]TenantLimit
-	// UnavailableRetryAfter is the virtual Retry-After attached to 503s
-	// caused by the volume rejecting with ErrCrashed (every replica of
-	// the requested range down). Zero means 5ms — the order of a
-	// circuit-breaker probe cycle, the earliest a retry could find a
-	// replica back. Gateway-closed 503s carry no hint: the service is
-	// going away, not recovering.
-	UnavailableRetryAfter des.Time
 }
+
+// unavailableRetryAfter is the virtual Retry-After attached to 503s caused
+// by the volume rejecting with ErrCrashed (every replica of the requested
+// range down): the order of a circuit-breaker probe cycle, the earliest a
+// retry could find a replica back. Gateway-closed 503s carry no hint: the
+// service is going away, not recovering.
+const unavailableRetryAfter = 5 * des.Millisecond
 
 func (l Limits) forTenant(t string) TenantLimit {
 	if tl, ok := l.PerTenant[t]; ok {
 		return tl
 	}
 	return l.Default
-}
-
-func (l Limits) unavailableRetryAfter() des.Time {
-	if l.UnavailableRetryAfter > 0 {
-		return l.UnavailableRetryAfter
-	}
-	return 5 * des.Millisecond
 }
 
 // bucket is one tenant's token state. Buckets refill as a pure function

@@ -18,7 +18,6 @@ func testVolume(t *testing.T) *core.Array {
 		Policy:        "rsatf",
 		Seed:          1,
 		MaxQueueDepth: 8,
-		Scrub:         core.ScrubOptions{MBps: 4},
 	})
 	if err != nil {
 		t.Fatalf("core.New: %v", err)

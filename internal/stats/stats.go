@@ -14,27 +14,23 @@ import (
 )
 
 // Collector accumulates samples (typically response times in
-// microseconds). Mean and Std are maintained online (Welford), so they
-// are O(1) at read time and never trigger a sort; order statistics
-// (Percentile, Max, Min) share one lazily-built sorted copy of the
-// samples, leaving the insertion-order sample slice untouched.
+// microseconds). Mean is maintained online, so it is O(1) at read time
+// and never triggers a sort; Percentile shares one lazily-built sorted copy
+// of the samples, leaving the insertion-order sample slice untouched.
 type Collector struct {
 	vals []float64
 	// sorted is the cached sorted view, built on first demand and
 	// invalidated by Add; it is always a copy, never c.vals itself.
 	sorted []float64
-	// Welford running state: mean and sum of squared deviations.
+	// mean is the running mean (Welford's update).
 	mean float64
-	m2   float64
 }
 
 // Add records one sample.
 func (c *Collector) Add(v des.Time) {
 	c.vals = append(c.vals, float64(v))
 	c.sorted = nil
-	d := float64(v) - c.mean
-	c.mean += d / float64(len(c.vals))
-	c.m2 += d * (float64(v) - c.mean)
+	c.mean += (float64(v) - c.mean) / float64(len(c.vals))
 }
 
 // N returns the sample count.
@@ -43,14 +39,6 @@ func (c *Collector) N() int { return len(c.vals) }
 // Mean returns the sample mean.
 func (c *Collector) Mean() des.Time {
 	return des.Time(c.mean)
-}
-
-// Std returns the population standard deviation.
-func (c *Collector) Std() des.Time {
-	if len(c.vals) == 0 {
-		return 0
-	}
-	return des.Time(math.Sqrt(c.m2 / float64(len(c.vals))))
 }
 
 // sortedView returns the shared sorted copy of the samples, building it
@@ -111,30 +99,6 @@ func (c *Collector) Max() des.Time {
 		}
 	}
 	return des.Time(best)
-}
-
-// Min returns the smallest sample.
-func (c *Collector) Min() des.Time {
-	if len(c.vals) == 0 {
-		return 0
-	}
-	if c.sorted != nil {
-		return des.Time(c.sorted[0])
-	}
-	best := c.vals[0]
-	for _, v := range c.vals[1:] {
-		if v < best {
-			best = v
-		}
-	}
-	return des.Time(best)
-}
-
-// Summary is a one-line description of the distribution. One sort serves
-// all three percentiles and the max.
-func (c *Collector) Summary() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v p99=%v max=%v",
-		c.N(), c.Mean(), c.Percentile(50), c.Percentile(95), c.Percentile(99), c.Max())
 }
 
 // Throughput converts a completion count over a simulated interval into

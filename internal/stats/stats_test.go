@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -21,8 +22,8 @@ func TestCollectorBasics(t *testing.T) {
 	if c.Mean() != 30 {
 		t.Fatalf("Mean = %v", c.Mean())
 	}
-	if c.Min() != 10 || c.Max() != 50 {
-		t.Fatalf("Min/Max = %v/%v", c.Min(), c.Max())
+	if c.Max() != 50 {
+		t.Fatalf("Max = %v", c.Max())
 	}
 	if got := c.Percentile(50); got != 30 {
 		t.Fatalf("P50 = %v", got)
@@ -30,15 +31,11 @@ func TestCollectorBasics(t *testing.T) {
 	if got := c.Percentile(100); got != 50 {
 		t.Fatalf("P100 = %v", got)
 	}
-	want := des.Time(math.Sqrt(200))
-	if diff := math.Abs(float64(c.Std() - want)); diff > 1e-9 {
-		t.Fatalf("Std = %v, want %v", c.Std(), want)
-	}
 }
 
 func TestEmptyCollector(t *testing.T) {
 	var c Collector
-	if c.Mean() != 0 || c.Std() != 0 || c.Percentile(50) != 0 || c.Min() != 0 || c.Max() != 0 {
+	if c.Mean() != 0 || c.Percentile(50) != 0 || c.Max() != 0 {
 		t.Fatal("empty collector should return zeros")
 	}
 }
@@ -58,7 +55,7 @@ func TestPercentileMonotone(t *testing.T) {
 			}
 			prev = v
 		}
-		return c.Percentile(100) == c.Max() && c.Percentile(0.0001) == c.Min()
+		return c.Percentile(100) == c.Max() && float64(c.Percentile(0.0001)) == slices.Min(c.vals)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -93,10 +90,10 @@ func TestAddOrderSurvivesSummary(t *testing.T) {
 	for _, v := range in {
 		c.Add(v)
 	}
-	_ = c.Summary()
+	_, _ = c.Percentile(50), c.Max()
 	for i, v := range in {
 		if c.vals[i] != float64(v) {
-			t.Fatalf("Summary() reordered samples: vals[%d] = %v, want %v", i, c.vals[i], v)
+			t.Fatalf("Percentile reordered samples: vals[%d] = %v, want %v", i, c.vals[i], v)
 		}
 	}
 	if got := c.Percentile(50); got != 30 {
@@ -119,8 +116,8 @@ func TestPercentileRejectsInvalid(t *testing.T) {
 	}
 }
 
-// TestWelfordMatchesTwoPass checks the online mean/variance against the
-// naive two-pass computation.
+// TestWelfordMatchesTwoPass checks the online mean against the naive
+// two-pass computation.
 func TestWelfordMatchesTwoPass(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -136,12 +133,7 @@ func TestWelfordMatchesTwoPass(t *testing.T) {
 			sum += v
 		}
 		mean := sum / float64(len(vals))
-		var m2 float64
-		for _, v := range vals {
-			m2 += (v - mean) * (v - mean)
-		}
-		std := math.Sqrt(m2 / float64(len(vals)))
-		return math.Abs(float64(c.Mean())-mean) < 1e-6 && math.Abs(float64(c.Std())-std) < 1e-6
+		return math.Abs(float64(c.Mean())-mean) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -1,10 +1,10 @@
 // Package trace defines the block-level trace representation the
 // experiments replay: timestamped read/write records over a logical
-// volume, with the operations the paper applies to them — merging
-// per-disk traces into one volume, uniform time scaling ("when the scaling
-// rate is two, the traced inter-arrival times are halved"), and the
-// characteristic statistics of Table 3 (I/O rate, read and async-write
-// fractions, seek locality L, and read-after-write fraction).
+// volume, with the operations the paper applies to them — uniform time
+// scaling ("when the scaling rate is two, the traced inter-arrival times
+// are halved"), and the characteristic statistics of Table 3 (I/O rate,
+// read and async-write fractions, seek locality L, and read-after-write
+// fraction).
 package trace
 
 import (
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"repro/internal/des"
 )
@@ -48,39 +47,12 @@ func (t *Trace) Scale(rate float64) *Trace {
 	return out
 }
 
-// Clip returns the prefix with at most n records.
-func (t *Trace) Clip(n int) *Trace {
-	if n >= len(t.Records) {
-		return t
-	}
-	return &Trace{Name: t.Name, DataSectors: t.DataSectors, Records: t.Records[:n]}
-}
-
 // Duration returns the arrival span of the trace.
 func (t *Trace) Duration() des.Time {
 	if len(t.Records) == 0 {
 		return 0
 	}
 	return t.Records[len(t.Records)-1].At - t.Records[0].At
-}
-
-// Merge interleaves per-device traces by timestamp and concatenates their
-// address spaces, the paper's construction of the Cello-base and TPC-C
-// data sets ("we merge these separate disk traces based on time stamps...
-// the data from different disks are concatenated").
-func Merge(name string, parts ...*Trace) *Trace {
-	out := &Trace{Name: name}
-	var base int64
-	for _, p := range parts {
-		for _, r := range p.Records {
-			r.Off += base
-			out.Records = append(out.Records, r)
-		}
-		base += p.DataSectors
-	}
-	out.DataSectors = base
-	sort.SliceStable(out.Records, func(i, j int) bool { return out.Records[i].At < out.Records[j].At })
-	return out
 }
 
 // Stats are the Table-3 characteristics of a trace.

@@ -90,26 +90,6 @@ func TestSeekLocalityOfUniformTraceIsNearOne(t *testing.T) {
 	}
 }
 
-func TestMergeConcatenatesAndSorts(t *testing.T) {
-	a := &Trace{DataSectors: 1000, Records: []Record{{At: 10, Off: 5, Count: 1}, {At: 30, Off: 6, Count: 1}}}
-	b := &Trace{DataSectors: 2000, Records: []Record{{At: 20, Off: 7, Count: 1}}}
-	m := Merge("m", a, b)
-	if m.DataSectors != 3000 {
-		t.Fatalf("merged volume = %d", m.DataSectors)
-	}
-	if len(m.Records) != 3 {
-		t.Fatalf("merged records = %d", len(m.Records))
-	}
-	if m.Records[1].Off != 1007 {
-		t.Fatalf("second record offset = %d, want 1007 (b's space starts at 1000)", m.Records[1].Off)
-	}
-	for i := 1; i < len(m.Records); i++ {
-		if m.Records[i].At < m.Records[i-1].At {
-			t.Fatal("merge not time-sorted")
-		}
-	}
-}
-
 func TestRoundTripSerialization(t *testing.T) {
 	var buf bytes.Buffer
 	src := sample()
@@ -143,17 +123,6 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Read(bytes.NewBufferString("not-a-number r 5 5\n")); err == nil {
 		t.Fatal("bad line accepted")
-	}
-}
-
-func TestClip(t *testing.T) {
-	tr := sample()
-	c := tr.Clip(2)
-	if len(c.Records) != 2 {
-		t.Fatalf("clipped to %d", len(c.Records))
-	}
-	if got := tr.Clip(100); got != tr {
-		t.Fatal("over-clip should return the original")
 	}
 }
 

@@ -46,11 +46,3 @@ func GenerateCached(p Params) *trace.Trace {
 	e.once.Do(func() { e.tr = Generate(p) })
 	return e.tr
 }
-
-// ResetCache drops all cached traces (tests and long-lived processes that
-// sweep many distinct parameter sets).
-func ResetCache() {
-	cacheMu.Lock()
-	cache = map[string]*cacheEntry{}
-	cacheMu.Unlock()
-}

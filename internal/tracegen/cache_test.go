@@ -7,6 +7,13 @@ import (
 	"repro/internal/des"
 )
 
+// resetCache drops every cached trace, so each test starts cold.
+func resetCache() {
+	cacheMu.Lock()
+	cache = map[string]*cacheEntry{}
+	cacheMu.Unlock()
+}
+
 func shortParams(seed int64) Params {
 	p := CelloBase(seed)
 	p.Duration = 200 * des.Second
@@ -14,8 +21,8 @@ func shortParams(seed int64) Params {
 }
 
 func TestGenerateCachedReturnsSameTrace(t *testing.T) {
-	ResetCache()
-	defer ResetCache()
+	resetCache()
+	defer resetCache()
 	p := shortParams(1)
 	a := GenerateCached(p)
 	b := GenerateCached(p)
@@ -28,8 +35,8 @@ func TestGenerateCachedReturnsSameTrace(t *testing.T) {
 }
 
 func TestGenerateCachedMatchesGenerate(t *testing.T) {
-	ResetCache()
-	defer ResetCache()
+	resetCache()
+	defer resetCache()
 	p := shortParams(3)
 	got := GenerateCached(p)
 	want := Generate(p)
@@ -44,8 +51,8 @@ func TestGenerateCachedMatchesGenerate(t *testing.T) {
 }
 
 func TestGenerateCachedSingleFlight(t *testing.T) {
-	ResetCache()
-	defer ResetCache()
+	resetCache()
+	defer resetCache()
 	p := shortParams(4)
 	const n = 8
 	results := make([]interface{}, n)

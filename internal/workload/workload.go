@@ -30,14 +30,6 @@ type Iometer struct {
 	// reported latency and IOPS (completions before the trimmed window
 	// still count toward Completed). Zero measures the whole run.
 	Warmup des.Time
-	// Batch primes the initial Outstanding window through Array.SubmitBatch
-	// instead of one Submit per request: each touched drive schedules once
-	// against the full window rather than after every submission. The
-	// steady-state loop is unaffected (each completion reissues one
-	// request). Scheduling decisions during the priming burst may differ
-	// from the unbatched driver, so figures that pin exact outputs keep
-	// Batch off.
-	Batch bool
 }
 
 // Result aggregates a run.
@@ -104,19 +96,16 @@ func (w Iometer) Run(sim *des.Sim, a *core.Array, total int) (*Result, error) {
 		finished++
 		issue()
 	}
-	nextReq := func() (core.Op, int64) {
-		op := core.Read
-		if rng.Float64() >= w.ReadFrac {
-			op = core.Write
-		}
-		return op, nextOff()
-	}
 	issue = func() {
 		if issued >= total {
 			return
 		}
 		issued++
-		op, off := nextReq()
+		op := core.Read
+		if rng.Float64() >= w.ReadFrac {
+			op = core.Write
+		}
+		off := nextOff()
 		if err := a.Submit(op, off, w.Sectors, false, onDone); err != nil {
 			errs = append(errs, err)
 			finished++
@@ -126,22 +115,8 @@ func (w Iometer) Run(sim *des.Sim, a *core.Array, total int) (*Result, error) {
 	if total < prime {
 		prime = total
 	}
-	if w.Batch {
-		ops := make([]core.BatchOp, prime)
-		for i := range ops {
-			op, off := nextReq()
-			ops[i] = core.BatchOp{Op: op, Off: off, Count: w.Sectors, Done: onDone}
-		}
-		issued = prime
-		n, err := a.SubmitBatch(ops)
-		if err != nil {
-			errs = append(errs, err)
-			finished += prime - n
-		}
-	} else {
-		for i := 0; i < prime; i++ {
-			issue()
-		}
+	for i := 0; i < prime; i++ {
+		issue()
 	}
 	for finished < total {
 		if !sim.Step() {

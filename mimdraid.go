@@ -75,7 +75,7 @@ type Options = core.Options
 type MetricsRegistry = obs.Registry
 
 // MetricsRecorder is one array's slice of a MetricsRegistry, from
-// Array.Obs().
+// Registry.Recorders().
 type MetricsRecorder = obs.Recorder
 
 // Array is a configured MimdRAID logical disk.
@@ -144,8 +144,8 @@ type HedgeCounters = core.HedgeCounters
 // ShedCounters reports admission-control activity, from Array.Sheds.
 type ShedCounters = core.ShedCounters
 
-// ScrubOptions configures the paced background scrubber (Options.Scrub,
-// or started mid-run with Array.StartScrub).
+// ScrubOptions configures the paced background scrubber, started with
+// Array.StartScrub.
 type ScrubOptions = core.ScrubOptions
 
 // ScrubCounters reports scrubber activity, from Array.ScrubCounters.
@@ -230,15 +230,15 @@ const (
 	// Volatile NVRAM loses the table: every queued delayed copy vanishes
 	// and the recovery scan must find the resulting divergence.
 	Volatile = core.Volatile
-	// BatteryBacked NVRAM holds the table across the outage (bounded by
-	// CrashModel.BatteryHorizon) and recovery re-adopts it.
+	// BatteryBacked NVRAM holds the table across the outage and recovery
+	// re-adopts it.
 	BatteryBacked = core.BatteryBacked
 )
 
 // CrashModel configures crash/power-fail injection (Options.Crash): an
-// optional scheduled crash and recovery, the NVRAM durability mode, and
-// the recovery scan's bandwidth pacing. The zero value disables the model
-// entirely.
+// optional scheduled crash and recovery, and the NVRAM durability mode.
+// The recovery scan's pacing is Tuning.RecoveryScanMBps. The zero value
+// disables the model entirely.
 type CrashModel = core.CrashModel
 
 // RecoveryCounters tallies crash and recovery activity — copies lost and
@@ -315,9 +315,9 @@ func NewSLOController(vol Volume, opts SLOOptions) (*SLOController, error) {
 
 // ShardedSim is a conservative-lookahead parallel driver over several
 // independent Sims — one per "brick" (array plus drives plus workload).
-// Cross-brick events must be scheduled through Send/SendArg with
-// timestamps at least the lookahead past the sender's clock; output is
-// byte-identical for any worker count.
+// Cross-brick events must be scheduled through Send with timestamps at
+// least the lookahead past the sender's clock; output is byte-identical
+// for any worker count.
 type ShardedSim = des.Sharded
 
 // NewShardedSim returns an engine over n fresh shards with the given

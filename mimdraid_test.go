@@ -295,12 +295,16 @@ func TestPublicAPISLOController(t *testing.T) {
 	sim := NewSim()
 	arr, err := New(sim, Options{
 		Config: SRArray(2, 2), Policy: "rsatf", DataSectors: 1 << 16, Seed: 1,
-		MaxQueueDepth: 8, Hedge: true, HedgeAfter: 10 * Millisecond,
+		MaxQueueDepth: 8, Hedge: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := arr.Tuning()
+	base.HedgeAfter = 10 * Millisecond
+	if err := arr.SetTuning(base); err != nil {
+		t.Fatal(err)
+	}
 	window := 10 * Millisecond
 	var targets [3]Time
 	targets[TierPremium] = 5 * Millisecond

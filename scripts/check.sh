@@ -22,7 +22,7 @@ go test -race -count=2 -run 'TestScrub|TestCorruption|TestSilent|TestLatent|Test
 # client all four multi-brick experiments share under the race detector
 # at 1/2/4 workers, and holds their output to the committed bytes (about
 # five minutes a pass under -race on 2 CPUs, hence the timeout).
-go test -race -count=2 -run 'TestCrash|TestBatteryHorizon|TestScheduledCrash|TestBatchThenCrash|TestRepeatedCrash' ./internal/core
+go test -race -count=2 -run 'TestCrash|TestScheduledCrash|TestBatchThenCrash|TestRepeatedCrash' ./internal/core
 go test -race -count=2 -timeout 30m -run 'TestChaos|TestClusterExperimentsGolden' ./internal/chaos ./internal/experiments
 # Cluster volume: the replicated-router suite (failover, breaker,
 # divergence/backfill reconciliation, DeclareDead, zero-alloc guard)

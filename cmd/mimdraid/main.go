@@ -20,7 +20,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/des"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/runner"
@@ -51,16 +50,11 @@ func run(args []string, stdout io.Writer) error {
 		timing     = fs.Bool("time", false, "print wall time per experiment")
 		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0),
 			"simulation jobs to run concurrently (1 = sequential; results are identical at any setting)")
-		shards = fs.Int("shards", runtime.GOMAXPROCS(0),
-			"epoch workers for sharded multi-brick simulations like -exp bigarray (1 = the sequential legacy path; results are identical at any setting)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	runner.SetParallelism(*parallel)
-	if _, err := des.SetShardWorkers(*shards); err != nil {
-		return fmt.Errorf("-shards %d: %w", *shards, err)
-	}
 
 	if *pprofAddr != "" {
 		go func() {

@@ -29,38 +29,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
-var shardWorkers atomic.Int64
-
-func init() {
-	shardWorkers.Store(int64(runtime.GOMAXPROCS(0)))
-}
-
-// ErrWorkerCount reports an invalid worker count passed to SetShardWorkers
-// or Sharded.SetWorkers. The error wraps this sentinel (errors.Is) and
-// names the offending value and bound.
+// ErrWorkerCount reports an invalid worker count passed to
+// Sharded.SetWorkers. The error wraps this sentinel (errors.Is) and names
+// the offending value and bound.
 var ErrWorkerCount = errors.New("des: invalid worker count")
-
-// SetShardWorkers sets the process-wide default worker count new Sharded
-// engines start with (the -shards flag of the CLIs lands here). Counts
-// below 1 are rejected with an error wrapping ErrWorkerCount — a silent
-// clamp here would mask a CLI typo as "sequential mode". On success it
-// returns the previous setting so tests can restore it.
-func SetShardWorkers(n int) (int, error) {
-	if n < 1 {
-		return int(shardWorkers.Load()), fmt.Errorf("%w: %d workers (want >= 1)", ErrWorkerCount, n)
-	}
-	return int(shardWorkers.Swap(int64(n))), nil
-}
-
-// ShardWorkers reports the current default (GOMAXPROCS at startup).
-func ShardWorkers() int {
-	return int(shardWorkers.Load())
-}
 
 // message is one buffered cross-shard event.
 type message struct {
@@ -102,8 +77,8 @@ type epochRun struct {
 
 // NewSharded returns an engine over n fresh shards with the given
 // lookahead (must be positive: a zero window could never make progress).
-// The worker count is captured from ShardWorkers; override per engine with
-// SetWorkers.
+// It runs every epoch on the calling goroutine; SetWorkers is the only way
+// to give one engine more workers, and there is no process-wide setting.
 func NewSharded(n int, lookahead Time) *Sharded {
 	if n < 1 {
 		panic("des: NewSharded needs at least one shard")
@@ -114,7 +89,7 @@ func NewSharded(n int, lookahead Time) *Sharded {
 	sh := &Sharded{
 		shards:    make([]*Sim, n),
 		lookahead: lookahead,
-		workers:   ShardWorkers(),
+		workers:   1,
 		out:       make([][]message, n),
 	}
 	for i := range sh.shards {

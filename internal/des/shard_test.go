@@ -97,9 +97,13 @@ func TestShardedLookaheadViolationPanics(t *testing.T) {
 }
 
 // RunUntil must stop at the horizon inclusively and land every shard's
-// clock on it, like Sim.RunUntil.
+// clock on it, like Sim.RunUntil. Two workers, so the final partial epoch
+// fans out across both shards.
 func TestShardedRunUntilHorizon(t *testing.T) {
 	sh := NewSharded(2, 10)
+	if err := sh.SetWorkers(2); err != nil {
+		t.Fatal(err)
+	}
 	var ran []string
 	sh.Shard(0).At(100, func() { ran = append(ran, "a@100") })
 	sh.Shard(1).At(100.5, func() { ran = append(ran, "b@100.5") })
@@ -136,29 +140,13 @@ func TestAtArgOrdering(t *testing.T) {
 	}
 }
 
-// Worker-count validation: out-of-range counts are rejected with the typed
-// error instead of silently clamped (a clamp would mask a CLI typo as a
-// performance setting).
+// Worker-count validation: a new engine runs one worker, and out-of-range
+// counts are rejected with the typed error instead of silently clamped.
 func TestWorkerCountValidation(t *testing.T) {
-	prev := ShardWorkers()
-	defer SetShardWorkers(prev)
-
-	for _, bad := range []int{0, -1, -100} {
-		if _, err := SetShardWorkers(bad); !errors.Is(err, ErrWorkerCount) {
-			t.Fatalf("SetShardWorkers(%d) = %v, want ErrWorkerCount", bad, err)
-		}
-		if got := ShardWorkers(); got != prev {
-			t.Fatalf("rejected SetShardWorkers(%d) still changed the setting to %d", bad, got)
-		}
-	}
-	if old, err := SetShardWorkers(3); err != nil || old != prev {
-		t.Fatalf("SetShardWorkers(3) = (%d, %v), want (%d, nil)", old, err, prev)
-	}
-	if got := ShardWorkers(); got != 3 {
-		t.Fatalf("ShardWorkers() = %d after setting 3", got)
-	}
-
 	sh := NewSharded(4, 10)
+	if sh.workers != 1 {
+		t.Fatalf("NewSharded starts with %d workers, want 1", sh.workers)
+	}
 	for _, bad := range []int{0, -2, 5, 100} {
 		if err := sh.SetWorkers(bad); !errors.Is(err, ErrWorkerCount) {
 			t.Fatalf("SetWorkers(%d) on 4 shards = %v, want ErrWorkerCount", bad, err)

@@ -294,13 +294,6 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
-func TestST34502LWBuilds(t *testing.T) {
-	d := ST34502LW().MustNew()
-	if d.Geom.Capacity() < 3e9 || d.Geom.Capacity() > 6e9 {
-		t.Errorf("ST34502LW capacity = %d, want ~4.5GB", d.Geom.Capacity())
-	}
-}
-
 func TestRSkewAppliesToTrueRotation(t *testing.T) {
 	sp := ST39133LWV()
 	sp.RSkew = 5e-4

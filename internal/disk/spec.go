@@ -51,24 +51,6 @@ func ST39133LWV() Spec {
 	}
 }
 
-// ST34502LW returns the spec of the second (4.5 GB) drive the prototype's
-// SCSI layer supported.
-func ST34502LW() Spec {
-	return Spec{
-		Name:         "Seagate ST34502LW (simulated)",
-		Cylinders:    6526,
-		Heads:        6,
-		ReservedCyls: 2,
-		ZoneSPT:      []int{254, 246, 235, 224, 213, 202, 191, 180},
-		RPM:          10000,
-		MinSeek:      900 * des.Microsecond,
-		AvgSeek:      5400 * des.Microsecond,
-		MaxSeek:      11000 * des.Microsecond,
-		WriteSettle:  900 * des.Microsecond,
-		HeadSwitch:   900 * des.Microsecond,
-	}
-}
-
 // New builds the drive model. Skews are derived from the timing: track skew
 // covers a head switch and cylinder skew a single-cylinder seek plus head
 // switch, each padded by one sector, so sequential I/O crossing a boundary

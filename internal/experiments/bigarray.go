@@ -12,8 +12,9 @@ import (
 // The big-array experiment scales the simulator past one brick: a front-end
 // client stripes a closed-loop workload over many independent MimdRAID
 // bricks (each its own array, drives, and buses) on the shared multi-brick
-// harness (harness.go). The digest of a run is worker-count-independent; a
-// lockstep reference driver in the tests holds the epoch engine to it.
+// harness (harness.go). The digest of a run is worker-count-independent;
+// TestShardedMatchesSequential holds the epoch engine at one, two and four
+// workers to a lockstep reference driver.
 
 // BigArraySpec sizes a multi-brick run.
 type BigArraySpec struct {
@@ -26,7 +27,7 @@ type BigArraySpec struct {
 	Sectors     int
 	ReadFrac    float64
 	Seed        int64
-	// Workers is the epoch worker count (0 = des.ShardWorkers()).
+	// Workers is the epoch worker count (0 = one worker).
 	Workers int
 	// Batch primes each brick's share of the initial window through one
 	// SubmitBatch instead of one Submit per request.
@@ -191,31 +192,23 @@ func DefaultBigArraySpec(c Config) BigArraySpec {
 	}
 }
 
-// BigArray is the registry experiment: the 128-drive cluster at one, two,
-// and four epoch workers, reporting throughput (identical by construction)
-// and the run fingerprint as metrics.
+// BigArray is the registry experiment: the 128-drive cluster at one epoch
+// worker, reporting its throughput, event count and mean latency.
 func BigArray(c Config) (*Figure, error) {
+	r, err := RunBigArray(DefaultBigArraySpec(c))
+	if err != nil {
+		return nil, err
+	}
 	fig := &Figure{
 		Name: "bigarray", Title: "128-drive multi-brick cluster (sharded event loop)",
 		XLabel: "epoch workers", YLabel: "IOPS",
 	}
 	iops := Series{Label: "cluster-iops"}
-	first, err := sameAtWorkers("big array", func(w int) (*BigArrayResult, error) {
-		spec := DefaultBigArraySpec(c)
-		spec.Workers = w
-		r, err := RunBigArray(spec)
-		if err == nil {
-			iops.Add(float64(w), r.IOPS)
-		}
-		return r, err
-	}, func(r *BigArrayResult) string { return r.Digest })
-	if err != nil {
-		return nil, err
-	}
+	iops.Add(1, r.IOPS)
 	fig.Series = append(fig.Series, iops)
-	fig.Metric("drives", float64(first.Drives))
-	fig.Metric("events", float64(first.Events))
-	fig.Metric("mean-latency-us", float64(first.MeanLat))
-	fig.Metric("completed", float64(first.Completed))
+	fig.Metric("drives", float64(r.Drives))
+	fig.Metric("events", float64(r.Events))
+	fig.Metric("mean-latency-us", float64(r.MeanLat))
+	fig.Metric("completed", float64(r.Completed))
 	return fig, nil
 }

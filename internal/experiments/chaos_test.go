@@ -10,9 +10,9 @@ import (
 // scan detects and repairs every resulting divergence — loss is visible
 // in the counters, never silent. The cluster run must reconcile too:
 // every remaining divergent copy is one the scan explicitly declared
-// unrepairable (a composed failure took its last fresh source), and the
-// run itself already verified digest equality at 1, 2, and 4 epoch
-// workers before returning.
+// unrepairable (a composed failure took its last fresh source).
+// TestSameAtWorkersAndReruns holds the cluster run's digest equal at 1, 2,
+// and 4 epoch workers.
 func TestChaosExperiment(t *testing.T) {
 	fig, err := Chaos(Config{TraceIOs: 600, IometerIOs: 300, Seed: 1})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strconv"
 	"strings"
@@ -108,6 +109,126 @@ func TestParallelMatchesSequential(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSameAtWorkersAndReruns holds the multi-brick worlds to the bar the
+// epoch engine promises: the chaos cluster, both SLO-cluster legs
+// (controller off and on) and both brick-loss legs (R=1 and R=2) produce
+// the same digest at 1, 2 and 4 epoch workers. Two identical SLO-gateway
+// loads (controller on) and two identical service loads, at the reduced
+// scales below, produce the same digest too. bigarray's worker legs are
+// TestShardedMatchesSequential's. Under -race the 2- and 4-worker legs
+// also check that no two workers touch one shard's state in an epoch.
+func TestSameAtWorkersAndReruns(t *testing.T) {
+	cfg := Config{TraceIOs: 600, IometerIOs: 200, Seed: 1}
+	type world struct {
+		name string
+		run  func(workers int) (digest string, err error)
+	}
+	var worlds []world
+	chaosSpec, err := defaultChaosSpec(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worlds = append(worlds, world{"chaos", func(w int) (string, error) {
+		r, err := runChaosCluster(chaosSpec, w)
+		if err != nil {
+			return "", err
+		}
+		return r.digest, nil
+	}})
+	for _, on := range []bool{false, true} {
+		spec, err := defaultSLOClusterSpec(cfg, on)
+		if err != nil {
+			t.Fatal(err)
+		}
+		worlds = append(worlds, world{fmt.Sprintf("slo-cluster/on=%v", on), func(w int) (string, error) {
+			r, err := runSLOCluster(spec, w)
+			if err != nil {
+				return "", err
+			}
+			return r.digest, nil
+		}})
+	}
+	for _, replicas := range []int{1, 2} {
+		spec, err := defaultBrickLossSpec(cfg, replicas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		worlds = append(worlds, world{fmt.Sprintf("brick-loss/R=%d", replicas), func(w int) (string, error) {
+			r, err := runBrickLoss(spec, w)
+			if err != nil {
+				return "", err
+			}
+			return r.digest, nil
+		}})
+	}
+	for _, wd := range worlds {
+		t.Run(wd.name, func(t *testing.T) {
+			first, err := wd.run(1)
+			if err != nil {
+				t.Fatalf("workers=1: %v", err)
+			}
+			for _, w := range []int{2, 4} {
+				got, err := wd.run(w)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", w, err)
+				}
+				if got != first {
+					g, f := firstDiffLine(got, first)
+					t.Fatalf("%s digest at workers=%d differs from workers=1, first at:\n%s\nvs\n%s", wd.name, w, g, f)
+				}
+			}
+		})
+	}
+
+	t.Run("slo-gateway", func(t *testing.T) {
+		spec, err := defaultSLOGatewaySpec(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.total = max(spec.total/4, 24*8)
+		var digests [2]string
+		for i := range digests {
+			r, err := runSLOGateway(spec, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			digests[i] = r.digest
+		}
+		if digests[0] != digests[1] {
+			a, b := firstDiffLine(digests[1], digests[0])
+			t.Fatalf("two identical slo-gateway runs differ, first at:\n%s\nvs\n%s", a, b)
+		}
+	})
+	t.Run("service", func(t *testing.T) {
+		spec := defaultServiceSpec(cfg)
+		spec.total = min(max(spec.total/20, 2000), 50000)
+		var digests [2]string
+		for i := range digests {
+			r, err := runService(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			digests[i] = r.rep.Digest()
+		}
+		if digests[0] != digests[1] {
+			a, b := firstDiffLine(digests[1], digests[0])
+			t.Fatalf("two identical service runs differ, first at:\n%s\nvs\n%s", a, b)
+		}
+	})
+}
+
+// firstDiffLine returns the first line at which two digests differ (the
+// whole digests when one is a prefix of the other).
+func firstDiffLine(a, b string) (string, string) {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(al) && i < len(bl); i++ {
+		if al[i] != bl[i] {
+			return al[i], bl[i]
+		}
+	}
+	return a, b
 }
 
 // TestObservabilityDeterministicAcrossParallelism extends the runner

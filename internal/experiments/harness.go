@@ -32,7 +32,7 @@ type sendFn = func(from, to int, at des.Time, fn func())
 type buildFn[C any] func(sims []*des.Sim, send sendFn) (C, error)
 
 // runSharded builds a bricks+1-shard world on the epoch engine and runs it
-// to quiescence at the given worker count (0 = des.ShardWorkers()). It
+// to quiescence at the given worker count (0 = one worker). It
 // returns the world and the number of events executed across all shards.
 func runSharded[C any](bricks, workers int, build buildFn[C]) (c C, events uint64, err error) {
 	sh := des.NewSharded(bricks+1, bigLinkLat)
@@ -60,25 +60,6 @@ func genScenario(seed int64, o chaos.Options) (chaos.Scenario, error) {
 		return chaos.Scenario{}, err
 	}
 	return sc, sc.Validate(o.Bricks, o.DrivesPerBrick)
-}
-
-// sameAtWorkers runs one world at 1, 2 and 4 epoch workers and returns the
-// first result, or an error if a later digest differs from it: the worker
-// count may change how fast a simulation runs, never what it computes.
-func sameAtWorkers[R any](what string, run func(workers int) (R, error), digest func(R) string) (R, error) {
-	var first R
-	for i, w := range []int{1, 2, 4} {
-		r, err := run(w)
-		if err != nil {
-			return first, fmt.Errorf("%s workers=%d: %w", what, w, err)
-		}
-		if i == 0 {
-			first = r
-		} else if digest(r) != digest(first) {
-			return first, fmt.Errorf("experiments: worker count changed the %s run:\n%q\nvs\n%q", what, digest(r), digest(first))
-		}
-	}
-	return first, nil
 }
 
 // clientLoop is the closed-loop client: outstanding requests in flight

@@ -4,9 +4,9 @@ import "testing"
 
 // TestService runs the front-end experiment at a small scale: the full
 // thousand-tenant fleet, a fraction of the request budget. The experiment
-// itself enforces the hard properties (deterministic digests, gateway 429
-// accounting equal to the array's shed counter); the test checks the load
-// actually flowed and both rejection layers fired.
+// itself enforces gateway 429 accounting equal to the array's shed counter
+// (TestSameAtWorkersAndReruns checks that two identical loads agree); the
+// test checks the load actually flowed and both rejection layers fired.
 func TestService(t *testing.T) {
 	c := testConfig()
 	c.IometerIOs = 25 // 10k requests; default 2500 drives the full 1M
@@ -29,9 +29,6 @@ func TestService(t *testing.T) {
 	}
 	if m["load/overloaded_429"] <= 0 {
 		t.Fatalf("array admission-control 429 path never fired: %v", m)
-	}
-	if m["determinism/ok"] != 1 {
-		t.Fatalf("determinism metric missing: %v", m)
 	}
 	if len(fig.Series) != 2 || len(fig.Series[0].Points) == 0 {
 		t.Fatalf("figure series malformed: %+v", fig.Series)

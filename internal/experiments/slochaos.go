@@ -27,10 +27,10 @@ import (
 //     strict priority order — best-effort first, premium never.
 //   - A cluster run replays a multi-brick scenario on the sharded epoch
 //     engine with one controller per brick, fed and stepped entirely on
-//     that brick's shard. Each variant executes at epoch worker counts
-//     1, 2, and 4 and its digest (scenario timeline, every per-tier
-//     tally, every controller's state) must be byte-identical across
-//     them — the determinism bar the rest of the repo holds.
+//     that brick's shard. Each variant's digest folds in the scenario
+//     timeline, every per-tier tally and every controller's state;
+//     TestSameAtWorkersAndReruns holds it equal at epoch worker counts
+//     1, 2, and 4 — the determinism bar the rest of the repo holds.
 
 // sloTierOf assigns load-generator tenant i its tier: one in five
 // premium, two standard, two best-effort.
@@ -373,7 +373,7 @@ func (c *sloCluster) done(b int, tier slo.Tier, submitAt des.Time, failed bool) 
 }
 
 // sloClusterRes summarizes one cluster run; digest equality across
-// worker counts is the determinism bar.
+// worker counts is the determinism bar TestSameAtWorkersAndReruns holds.
 type sloClusterRes struct {
 	digest string
 	p99    []int64
@@ -485,38 +485,13 @@ func SLOChaos(c Config) (*Figure, error) {
 		return nil, err
 	}
 
-	// Determinism double-check at reduced scale, controller on — the new
-	// code paths (shed completions, SLO state in the digest) must be
-	// byte-identical across identical runs.
-	dspec := spec
-	dspec.total = spec.total / 4
-	if dspec.total < 24*8 {
-		dspec.total = 24 * 8
-	}
-	d1, err := runSLOGateway(dspec, true)
-	if err != nil {
-		return nil, err
-	}
-	d2, err := runSLOGateway(dspec, true)
-	if err != nil {
-		return nil, err
-	}
-	if d1.digest != d2.digest {
-		return nil, fmt.Errorf("experiments: slo gateway run is nondeterministic: digests differ across identical runs")
-	}
-
-	// Cluster stage: off and on, each at worker counts 1, 2, 4 with
-	// byte-identical digests required.
 	var cl [2]*sloClusterRes
 	for i, on := range []bool{false, true} {
 		cspec, err := defaultSLOClusterSpec(c, on)
 		if err != nil {
 			return nil, err
 		}
-		cl[i], err = sameAtWorkers(fmt.Sprintf("slo cluster (on=%v)", on), func(w int) (*sloClusterRes, error) {
-			return runSLOCluster(cspec, w)
-		}, func(r *sloClusterRes) string { return r.digest })
-		if err != nil {
+		if cl[i], err = runSLOCluster(cspec, 1); err != nil {
 			return nil, err
 		}
 	}
@@ -565,7 +540,5 @@ func SLOChaos(c Config) (*Figure, error) {
 		escal += float64(st.Escalations)
 	}
 	fig.Metric("cluster/escalations_on", escal)
-	fig.Metric("determinism/gateway_requests", float64(d1.rep.Issued))
-	fig.Metric("determinism/ok", 1)
 	return fig, nil
 }

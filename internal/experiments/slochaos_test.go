@@ -8,8 +8,8 @@ import (
 // scale and checks the control plane's contract: the controller buys
 // premium SLO compliance back under chaos, sheds strictly in priority
 // order (best-effort first, premium never), and fully recovers to
-// Normal once the faults clear — while every digest-checked stage
-// stayed deterministic (the experiment itself errors otherwise).
+// Normal once the faults clear. TestSameAtWorkersAndReruns holds both
+// stages deterministic.
 func TestSLOChaosExperiment(t *testing.T) {
 	cfg := Config{TraceIOs: 600, IometerIOs: 300, Seed: 1}
 	fig, err := SLOChaos(cfg)
@@ -78,9 +78,6 @@ func TestSLOChaosExperiment(t *testing.T) {
 	}
 	if v := get("cluster/escalations_on"); v <= 0 {
 		t.Error("no cluster controller ever escalated")
-	}
-	if v := get("determinism/ok"); v != 1 {
-		t.Errorf("determinism/ok = %v", v)
 	}
 
 	// The figure carries the off/on p99 series.

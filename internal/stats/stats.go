@@ -112,10 +112,10 @@ func Throughput(completed int, elapsed des.Time) float64 {
 
 // TrimWarmup is the one place measurement windows are derived: it clips
 // the first warmup of [start, end] and returns the interval completions
-// should be counted over. Every caller that excludes warmup — the
-// iometer's closed loop, the degraded-rebuild experiment — must go
-// through here, so a window can never start before the run or extend past
-// its end. A warmup longer than the run collapses the window to [end,
+// should be counted over. Every caller that excludes warmup (today the
+// experiments' measuredRate, which degraded-rebuild uses) must go through
+// here, so a window can never start before the run or extend past its
+// end. A warmup longer than the run collapses the window to [end,
 // end], which Throughput then reports as rate 0 rather than a negative or
 // inflated figure. Negative warmup and end < start are caller bugs and
 // panic.

@@ -26,21 +26,14 @@ type Iometer struct {
 	// use 3); 1 = uniform random.
 	Locality float64
 	Seed     int64
-	// Warmup excludes the run's first Warmup of simulated time from the
-	// reported latency and IOPS (completions before the trimmed window
-	// still count toward Completed). Zero measures the whole run.
-	Warmup des.Time
 }
 
 // Result aggregates a run.
 type Result struct {
 	Completed int
-	// Measured counts the completions inside the post-warmup window; it
-	// equals Completed when Warmup is zero.
-	Measured int
-	Elapsed  des.Time
-	IOPS     float64
-	Latency  stats.Collector
+	Elapsed   des.Time
+	IOPS      float64
+	Latency   stats.Collector
 }
 
 // Run issues `total` requests and returns throughput and latency results.
@@ -80,19 +73,14 @@ func (w Iometer) Run(sim *des.Sim, a *core.Array, total int) (*Result, error) {
 	}
 
 	start := sim.Now()
-	measureFrom := start + w.Warmup
 	issued := 0
 	finished := 0
-	measured := 0
 	errs := []error{}
 	// One completion closure for the whole run: the per-request state lives
 	// in the captured counters, so the hot loop allocates nothing per I/O.
 	var issue func()
 	onDone := func(r core.Result) {
-		if r.Done >= measureFrom {
-			res.Latency.Add(r.Latency())
-			measured++
-		}
+		res.Latency.Add(r.Latency())
 		finished++
 		issue()
 	}
@@ -127,10 +115,8 @@ func (w Iometer) Run(sim *des.Sim, a *core.Array, total int) (*Result, error) {
 		return nil, errs[0]
 	}
 	res.Completed = finished
-	res.Measured = measured
 	res.Elapsed = sim.Now() - start
-	ws, we := stats.TrimWarmup(start, sim.Now(), w.Warmup)
-	res.IOPS = stats.Throughput(measured, we-ws)
+	res.IOPS = stats.Throughput(finished, res.Elapsed)
 	return res, nil
 }
 

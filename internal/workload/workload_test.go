@@ -141,38 +141,3 @@ func TestReplayBuildsQueuesUnderScaling(t *testing.T) {
 		t.Fatalf("MaxQueue = %d under 3x scaling of a 300 IOPS trace on 2 disks", res.MaxQueue)
 	}
 }
-
-// TestIometerWarmupTrimsMeasurement: a warmed-up run measures fewer
-// completions over a shorter window, and a zero warmup reproduces the
-// untrimmed run exactly.
-func TestIometerWarmupTrimsMeasurement(t *testing.T) {
-	run := func(warmup des.Time) *Result {
-		sim, a := newArray(t, layout.Striping(2), "satf")
-		w := Iometer{ReadFrac: 1, Sectors: 1, Outstanding: 4, Locality: 3, Seed: 1, Warmup: warmup}
-		res, err := w.Run(sim, a, 500)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	base := run(0)
-	if base.Measured != base.Completed {
-		t.Fatalf("zero warmup measured %d of %d", base.Measured, base.Completed)
-	}
-	trimmed := run(50 * des.Millisecond)
-	if trimmed.Completed != 500 {
-		t.Fatalf("completed %d", trimmed.Completed)
-	}
-	if trimmed.Measured >= trimmed.Completed || trimmed.Measured == 0 {
-		t.Fatalf("measured %d of %d: warmup trimmed nothing (or everything)", trimmed.Measured, trimmed.Completed)
-	}
-	if trimmed.Latency.N() != trimmed.Measured {
-		t.Fatalf("latency samples %d != measured %d", trimmed.Latency.N(), trimmed.Measured)
-	}
-	// A warmup longer than the whole run measures nothing and reports a
-	// zero rate instead of dividing by a bogus window.
-	drowned := run(des.Hour)
-	if drowned.Measured != 0 || drowned.IOPS != 0 {
-		t.Fatalf("over-long warmup measured %d at %.1f IOPS", drowned.Measured, drowned.IOPS)
-	}
-}

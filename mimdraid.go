@@ -321,7 +321,9 @@ func NewSLOController(vol Volume, opts SLOOptions) (*SLOController, error) {
 type ShardedSim = des.Sharded
 
 // NewShardedSim returns an engine over n fresh shards with the given
-// lookahead (a lower bound on any cross-shard interaction latency).
+// lookahead (a lower bound on any cross-shard interaction latency). It
+// runs one epoch worker; SetWorkers gives this engine more, and there is
+// no process-wide setting.
 func NewShardedSim(n int, lookahead Time) *ShardedSim {
 	return des.NewSharded(n, lookahead)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"strconv"
 	"strings"
@@ -114,7 +115,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 // TestSameAtWorkersAndReruns holds the multi-brick worlds to the bar the
 // epoch engine promises: the chaos cluster, both SLO-cluster legs
 // (controller off and on) and both brick-loss legs (R=1 and R=2) produce
-// the same digest at 1, 2 and 4 epoch workers. Two identical SLO-gateway
+// the same digest at 1, 2 and 4 epoch workers, and the 1-worker digest
+// hashes to its pinned value. The digests see what the golden figures do
+// not (per-brick recovery counters, skipped scenario events, controller
+// state), so the pins hold a refactor of the worlds to the same run. Two identical SLO-gateway
 // loads (controller on) and two identical service loads, at the reduced
 // scales below, produce the same digest too. bigarray's worker legs are
 // TestShardedMatchesSequential's. Under -race the 2- and 4-worker legs
@@ -123,6 +127,7 @@ func TestSameAtWorkersAndReruns(t *testing.T) {
 	cfg := Config{TraceIOs: 600, IometerIOs: 200, Seed: 1}
 	type world struct {
 		name string
+		want string // fnv-64a of the 1-worker digest
 		run  func(workers int) (digest string, err error)
 	}
 	var worlds []world
@@ -130,19 +135,20 @@ func TestSameAtWorkersAndReruns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	worlds = append(worlds, world{"chaos", func(w int) (string, error) {
+	worlds = append(worlds, world{"chaos", "490ae09097bb8901", func(w int) (string, error) {
 		r, err := runChaosCluster(chaosSpec, w)
 		if err != nil {
 			return "", err
 		}
 		return r.digest, nil
 	}})
+	sloPins := map[bool]string{false: "21a7ea27f2265536", true: "cbd4bde572048192"}
 	for _, on := range []bool{false, true} {
 		spec, err := defaultSLOClusterSpec(cfg, on)
 		if err != nil {
 			t.Fatal(err)
 		}
-		worlds = append(worlds, world{fmt.Sprintf("slo-cluster/on=%v", on), func(w int) (string, error) {
+		worlds = append(worlds, world{fmt.Sprintf("slo-cluster/on=%v", on), sloPins[on], func(w int) (string, error) {
 			r, err := runSLOCluster(spec, w)
 			if err != nil {
 				return "", err
@@ -150,12 +156,13 @@ func TestSameAtWorkersAndReruns(t *testing.T) {
 			return r.digest, nil
 		}})
 	}
+	brickLossPins := map[int]string{1: "408b3c974aa8c55d", 2: "4a2baea15ab8b791"}
 	for _, replicas := range []int{1, 2} {
 		spec, err := defaultBrickLossSpec(cfg, replicas)
 		if err != nil {
 			t.Fatal(err)
 		}
-		worlds = append(worlds, world{fmt.Sprintf("brick-loss/R=%d", replicas), func(w int) (string, error) {
+		worlds = append(worlds, world{fmt.Sprintf("brick-loss/R=%d", replicas), brickLossPins[replicas], func(w int) (string, error) {
 			r, err := runBrickLoss(spec, w)
 			if err != nil {
 				return "", err
@@ -169,6 +176,7 @@ func TestSameAtWorkersAndReruns(t *testing.T) {
 			if err != nil {
 				t.Fatalf("workers=1: %v", err)
 			}
+			checkPin(t, wd.name, first, wd.want)
 			for _, w := range []int{2, 4} {
 				got, err := wd.run(w)
 				if err != nil {
@@ -217,6 +225,16 @@ func TestSameAtWorkersAndReruns(t *testing.T) {
 			t.Fatalf("two identical service runs differ, first at:\n%s\nvs\n%s", a, b)
 		}
 	})
+}
+
+// checkPin fails the test unless digest hashes (fnv-64a) to want.
+func checkPin(t *testing.T, name, digest, want string) {
+	t.Helper()
+	h := fnv.New64a()
+	h.Write([]byte(digest))
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
+		t.Errorf("%s digest hash %s, want %s; digest:\n%s", name, got, want, digest)
+	}
 }
 
 // firstDiffLine returns the first line at which two digests differ (the

@@ -81,6 +81,34 @@ func TestShardedDeterministicSeed2(t *testing.T) {
 	}
 }
 
+// The barrier's merge rule: messages that two shards send to a third for
+// the same instant arrive in (sender shard, send order), whatever the
+// worker count. Both senders run in one epoch, so at two workers they
+// execute concurrently; shard 1's event is scheduled first, so the order
+// must come from the shard index, not from who ran or sent first.
+func TestShardedDeliveryOrder(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		sh := NewSharded(3, 10)
+		if err := sh.SetWorkers(workers); err != nil {
+			t.Fatal(err)
+		}
+		var got []string // written only by shard 2's events
+		for _, from := range []int{1, 0} {
+			from := from
+			sh.Shard(from).At(0, func() {
+				for i := 0; i < 2; i++ {
+					msg := fmt.Sprintf("s%d#%d", from, i)
+					sh.Send(from, 2, 10, func() { got = append(got, msg) })
+				}
+			})
+		}
+		sh.Run()
+		if want := "[s0#0 s0#1 s1#0 s1#1]"; fmt.Sprint(got) != want {
+			t.Errorf("workers=%d: delivered %v, want %s", workers, got, want)
+		}
+	}
+}
+
 // Sending below the lookahead horizon must panic loudly: a lookahead that
 // overstates the real coupling latency breaks the conservative argument.
 func TestShardedLookaheadViolationPanics(t *testing.T) {

@@ -42,8 +42,8 @@ func runOne(tb testing.TB, sim *des.Sim, v core.Volume, off int64, done func(cor
 // TestRouterZeroAllocHealthyPath is the CI guard for the pooled hot path:
 // after warmup, a read through the cluster router must allocate no more
 // than the same read submitted straight to a brick — the router itself
-// adds zero allocations per op, colocated or sharded (where each replica
-// attempt crosses to the brick's shard and back).
+// adds zero allocations per op. Both legs run the same cached crossings:
+// colocated over the inline link, sharded to the brick's shard and back.
 func TestRouterZeroAllocHealthyPath(t *testing.T) {
 	t.Run("colocated", func(t *testing.T) {
 		sim, cl := benchCluster(t)

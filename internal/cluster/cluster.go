@@ -9,20 +9,24 @@
 // everything one array's tolerance stack survives (drive loss, fail-slow,
 // corruption), the cluster extends to the loss of the whole brick.
 //
-// A Cluster runs in one of two topologies:
+// A Cluster runs in one of two topologies, through one router path: every
+// router-to-brick crossing goes through a send function, and the healthy
+// path's crossings are closures cached on pooled request objects, so the
+// router adds zero allocations over submitting to the brick directly.
 //
-//   - Colocated (New): the router and every brick share one des.Sim.
-//     Submissions are direct calls, the healthy path recycles pooled
-//     request objects and adds zero allocations over submitting to the
-//     brick directly, and the Cluster is a fully functional core.Volume —
-//     this is what the service gateway fronts.
+//   - Colocated (New): the router and every brick share one des.Sim, and
+//     the link is inline with zero latency — a crossing runs at once, so a
+//     submission reaches the brick in the same call. The Cluster is a
+//     fully functional core.Volume; this is what the service gateway
+//     fronts.
 //
 //   - Sharded (NewSharded): the router lives on shard 0 of a des.Sharded
 //     engine and each brick on its own shard, with every crossing paying
 //     the link latency (which must be >= the engine's lookahead). Submit
-//     must be called from shard-0 events; Drain is unavailable (the caller
-//     owns the engine's run loop) and aggregate accessors are only
-//     meaningful while the engine is quiescent.
+//     must be called from shard-0 events; Drain, Crash and Recover are
+//     unavailable (the caller owns the engine's run loop, and bricks crash
+//     on their own shards) and aggregate accessors are only meaningful
+//     while the engine is quiescent.
 package cluster
 
 import (
@@ -123,8 +127,8 @@ type Counters struct {
 // core.Volume.
 type Cluster struct {
 	sims []*des.Sim // sims[0] = router; sims[1+b] = brick b
-	send SendFunc   // nil in colocated mode
-	lat  des.Time
+	send SendFunc
+	lat  des.Time // 0 in the colocated topology
 	bs   []core.Volume
 	opts Options
 	pm   *extentMap
@@ -139,7 +143,7 @@ type Cluster struct {
 }
 
 // New builds a colocated cluster: every brick must live on sim, and the
-// router schedules on it too.
+// router schedules on it too. Its link runs each crossing inline.
 func New(sim *des.Sim, bricks []core.Volume, opts Options) (*Cluster, error) {
 	sims := make([]*des.Sim, len(bricks)+1)
 	sims[0] = sim
@@ -149,7 +153,7 @@ func New(sim *des.Sim, bricks []core.Volume, opts Options) (*Cluster, error) {
 		}
 		sims[1+i] = sim
 	}
-	return build(sims, nil, 0, bricks, opts)
+	return build(sims, func(_, _ int, _ des.Time, fn func()) { fn() }, 0, bricks, opts)
 }
 
 // NewSharded builds a sharded cluster: the router on sims[0], brick b on
@@ -200,15 +204,6 @@ func (c *Cluster) rsim() *des.Sim { return c.sims[0] }
 // is fine: probes and copies are failure/background paths.
 func (c *Cluster) brickSubmit(b int, op core.Op, off int64, count int, done func(ok bool, err error)) {
 	brick := c.bs[b]
-	if c.send == nil {
-		err := brick.Submit(op, off, count, false, func(r core.Result) {
-			done(!r.Failed, r.Err)
-		})
-		if err != nil {
-			done(false, err)
-		}
-		return
-	}
 	bsim := c.sims[1+b]
 	c.send(0, 1+b, c.rsim().Now()+c.lat, func() {
 		err := brick.Submit(op, off, count, false, func(r core.Result) {
@@ -269,22 +264,20 @@ type piece struct {
 	okAcks      int8
 	firstErr    error
 
-	// hops[k] records replica slot k's attempt. Its closures — repDone[k]
-	// in the colocated topology, the hop's crossings in the sharded one —
-	// are built once per pooled piece, so the healthy path allocates
-	// nothing in either topology. A slot carries at most one attempt per
-	// piece life (reads mark it tried, writes issue each target once), and
-	// a piece recycles only once every attempt has landed, so nothing can
-	// reach a slot's closures from a previous life.
-	repDone [maxReplicas]func(core.Result)
-	hops    [maxReplicas]hop
+	// hops[k] records replica slot k's attempt. Its crossings are built
+	// once per pooled piece, so the healthy path allocates nothing. A slot
+	// carries at most one attempt per piece life (reads mark it tried,
+	// writes issue each target once), and a piece recycles only once every
+	// attempt has landed, so nothing can reach a slot's closures from a
+	// previous life.
+	hops [maxReplicas]hop
 }
 
-// hop is one replica attempt: where issue sent it, and in the sharded
-// topology its crossing to the brick's shard and back. The router shard
-// writes off and b before sending toBrick; the brick shard writes res
-// before sending toRouter. The engine's epoch barrier orders each write
-// before the other shard's read.
+// hop is one replica attempt: where issue sent it, and its crossing to the
+// brick and back. The router writes off and b before sending toBrick; the
+// brick writes res before sending toRouter. In the sharded topology the
+// engine's epoch barrier orders each write before the other shard's read;
+// in the colocated one each crossing runs inline, in program order.
 type hop struct {
 	off int64 // brick offset of the attempt
 	b   int   // brick the attempt went to, fixed at issue time
@@ -302,10 +295,6 @@ func (p *piece) init(r *request) {
 	c := r.c
 	for k := 0; k < maxReplicas; k++ {
 		k := k
-		if c.send == nil {
-			p.repDone[k] = func(res core.Result) { p.replicaDone(k, res) }
-			continue
-		}
 		h := &p.hops[k]
 		h.toBrick = func() {
 			if err := c.bs[h.b].Submit(p.req.op, h.off, p.count, p.req.async, h.brickDone); err != nil {
@@ -523,20 +512,13 @@ func (p *piece) startRead() {
 }
 
 // issue routes one replica attempt over the link through slot k's cached
-// closures: the colocated path submits with repDone[k], the sharded path
-// sends hops[k].toBrick. Neither allocates.
+// closures, without allocating.
 func (p *piece) issue(k int, l replicaLoc) {
 	c := p.req.c
 	h := &p.hops[k]
 	h.off, h.b = c.pm.brickOff(l, p.within), int(l.brick)
 	p.req.inflight++
-	if c.send != nil {
-		c.send(0, 1+h.b, c.rsim().Now()+c.lat, h.toBrick)
-		return
-	}
-	if err := c.bs[h.b].Submit(p.req.op, h.off, p.count, p.req.async, p.repDone[k]); err != nil {
-		p.replicaDone(k, core.Result{Failed: true, Err: err})
-	}
+	c.send(0, 1+h.b, c.rsim().Now()+c.lat, h.toBrick)
 }
 
 // replicaDone lands one brick completion (or synchronous rejection) on the
@@ -739,7 +721,7 @@ func (c *Cluster) Idle() bool {
 // Drain steps the router's simulator until Idle, bounded by maxTime.
 // Unavailable in a sharded topology, where the caller owns the engine.
 func (c *Cluster) Drain(maxTime des.Time) bool {
-	if c.send != nil {
+	if c.lat > 0 {
 		panic("cluster: Drain on a sharded cluster (run the engine instead)")
 	}
 	sim := c.rsim()
@@ -833,7 +815,7 @@ func (c *Cluster) Crashed() bool {
 // Crash power-fails every brick (colocated topologies only — the router
 // must be able to reach the bricks synchronously).
 func (c *Cluster) Crash() error {
-	if c.send != nil {
+	if c.lat > 0 {
 		return fmt.Errorf("cluster: Crash on a sharded cluster (crash bricks on their own shards)")
 	}
 	for i, b := range c.bs {
@@ -850,7 +832,7 @@ func (c *Cluster) Crash() error {
 
 // Recover powers every crashed brick back on and reopens its route.
 func (c *Cluster) Recover() error {
-	if c.send != nil {
+	if c.lat > 0 {
 		return fmt.Errorf("cluster: Recover on a sharded cluster (recover bricks on their own shards)")
 	}
 	for i, b := range c.bs {

@@ -513,52 +513,77 @@ func TestAllReplicasDownRejectsSync(t *testing.T) {
 	}
 }
 
-// TestVolumeSurface covers the aggregate core.Volume methods.
+// TestVolumeSurface covers the aggregate core.Volume methods, and that a
+// sharded cluster refuses Crash, Recover and Drain.
 func TestVolumeSurface(t *testing.T) {
-	sim, cl := newTestCluster(t, 3, Options{Replicas: 2})
-	if cl.Disks() != 6 {
-		t.Errorf("Disks() = %d, want 6", cl.Disks())
-	}
-	if cl.Sim() != sim {
-		t.Error("Sim() is not the router sim")
-	}
-	if cl.DataSectors() <= 0 || cl.DataSectors()%512 != 0 {
-		t.Errorf("DataSectors() = %d", cl.DataSectors())
-	}
-	if cl.Crashed() {
-		t.Error("fresh cluster reports crashed")
-	}
-	if !cl.Idle() {
-		t.Error("fresh cluster not idle")
-	}
-	tun := cl.Tuning()
-	tun.MaxQueueDepth = 64
-	if err := cl.SetTuning(tun); err != nil {
-		t.Fatalf("SetTuning: %v", err)
-	}
-	for i := 0; i < len(cl.bs); i++ {
-		if got := cl.bs[i].Tuning().MaxQueueDepth; got != 64 {
-			t.Errorf("brick %d MaxQueueDepth = %d after fan-out", i, got)
+	t.Run("colocated", func(t *testing.T) {
+		sim, cl := newTestCluster(t, 3, Options{Replicas: 2})
+		if cl.Disks() != 6 {
+			t.Errorf("Disks() = %d, want 6", cl.Disks())
 		}
-	}
-	if err := cl.Crash(); err != nil {
-		t.Fatalf("Crash: %v", err)
-	}
-	if !cl.Crashed() {
-		t.Error("Crashed() false after Crash()")
-	}
-	if rec := cl.Recovery(); rec.Crashes != 3 {
-		t.Errorf("Recovery().Crashes = %d, want 3", rec.Crashes)
-	}
-	if err := cl.Recover(); err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	if cl.Crashed() {
-		t.Error("Crashed() true after Recover()")
-	}
-	if !cl.Drain(des.Hour) {
-		t.Fatal("Drain failed after crash cycle")
-	}
+		if cl.Sim() != sim {
+			t.Error("Sim() is not the router sim")
+		}
+		if cl.DataSectors() <= 0 || cl.DataSectors()%512 != 0 {
+			t.Errorf("DataSectors() = %d", cl.DataSectors())
+		}
+		if cl.Crashed() {
+			t.Error("fresh cluster reports crashed")
+		}
+		if !cl.Idle() {
+			t.Error("fresh cluster not idle")
+		}
+		tun := cl.Tuning()
+		tun.MaxQueueDepth = 64
+		if err := cl.SetTuning(tun); err != nil {
+			t.Fatalf("SetTuning: %v", err)
+		}
+		for i := 0; i < len(cl.bs); i++ {
+			if got := cl.bs[i].Tuning().MaxQueueDepth; got != 64 {
+				t.Errorf("brick %d MaxQueueDepth = %d after fan-out", i, got)
+			}
+		}
+		if err := cl.Crash(); err != nil {
+			t.Fatalf("Crash: %v", err)
+		}
+		if !cl.Crashed() {
+			t.Error("Crashed() false after Crash()")
+		}
+		if rec := cl.Recovery(); rec.Crashes != 3 {
+			t.Errorf("Recovery().Crashes = %d, want 3", rec.Crashes)
+		}
+		if err := cl.Recover(); err != nil {
+			t.Fatalf("Recover: %v", err)
+		}
+		if cl.Crashed() {
+			t.Error("Crashed() true after Recover()")
+		}
+		if !cl.Drain(des.Hour) {
+			t.Fatal("Drain failed after crash cycle")
+		}
+	})
+	t.Run("sharded", func(t *testing.T) {
+		// A sharded cluster refuses the whole-cluster calls: its bricks crash
+		// and recover on their own shards, and the caller owns the engine.
+		_, cl := newShardedCluster(t, 3, 1, Options{Replicas: 2})
+		if err := cl.Crash(); err == nil {
+			t.Error("Crash on a sharded cluster returned no error")
+		}
+		if err := cl.Recover(); err == nil {
+			t.Error("Recover on a sharded cluster returned no error")
+		}
+		if cl.Crashed() || cl.Recovery().Crashes != 0 {
+			t.Error("a refused Crash reached the bricks")
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("Drain on a sharded cluster did not panic")
+				}
+			}()
+			cl.Drain(des.Hour)
+		}()
+	})
 }
 
 // TestBatchSubmit covers the batch entry points, including index-aligned

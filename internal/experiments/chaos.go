@@ -9,6 +9,7 @@ import (
 	"repro/internal/des"
 	"repro/internal/layout"
 	"repro/internal/runner"
+	"repro/internal/slo"
 )
 
 // The chaos experiment measures the crash/power-fail tolerance stack two
@@ -33,122 +34,13 @@ const chaosRetry = 2 * des.Millisecond
 // against (generous: it should hold except during outage windows).
 const chaosSLO = 50 * des.Millisecond
 
-// chaosSpec sizes one cluster chaos run.
-type chaosSpec struct {
-	bricks      int
-	cfg         layout.Config
-	ios         int
-	outstanding int
-	sectors     int
-	readFrac    float64
-	seed        int64
-	durability  core.NVRAMDurability
-	sc          chaos.Scenario
-	window      des.Time
-}
-
-// chaosCluster is the client plus bricks of one run. Client state lives on
-// shard 0; each array and its skipped-event counter are touched only by
-// that brick's shard — the isolation the epoch protocol requires.
-type chaosCluster struct {
-	clientLoop
-	spec chaosSpec
-	sims []*des.Sim // sims[0] = client, sims[1+b] = brick b
-	arr  []*core.Array
-	send sendFn
-
-	rng      *rand.Rand
-	vol      int64
-	ok       int
-	failed   int
-	rejected int
-	perBrick []int
-	sloOK    int
-	// skipped[b] counts scenario events brick b ignored because its state
-	// made them inapplicable (e.g. a drive event landing inside an
-	// outage); written only by shard 1+b.
-	skipped []int
-}
-
-func buildChaosCluster(spec chaosSpec, sims []*des.Sim, send sendFn) (*chaosCluster, error) {
-	c := &chaosCluster{
-		clientLoop: clientLoop{sim: sims[0], ios: spec.ios, outstanding: spec.outstanding, window: spec.window},
-		spec:       spec, sims: sims, send: send,
-		rng:      rand.New(rand.NewSource(spec.seed)),
-		arr:      make([]*core.Array, spec.bricks),
-		perBrick: make([]int, spec.bricks),
-		skipped:  make([]int, spec.bricks),
-	}
-	c.attempt = func(_ int, submitAt des.Time) { c.sendDraw(submitAt) }
-	for b := range c.arr {
-		a, err := core.New(sims[1+b], core.Options{
-			Config: spec.cfg, Policy: policyFor(spec.cfg), Seed: spec.seed + int64(b),
-			Crash: core.CrashModel{Enabled: true, Durability: spec.durability},
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.arr[b] = a
-		b := b
-		chaos.Arm(sims[1+b], spec.sc, b, func(e chaos.Event) {
-			if !chaos.Apply(a, e) {
-				c.skipped[b]++
-			}
-		})
-	}
-	chaos.Arm(sims[0], spec.sc, chaos.ClientBrick, c.burst)
-	c.vol = c.arr[0].DataSectors() - int64(spec.sectors)
-	sims[0].At(0, c.prime)
-	return c, nil
-}
-
-// sendDraw draws a fresh (brick, offset, op) and sends it over the link;
-// submitAt survives retries so measured latency includes outage stalls.
-func (c *chaosCluster) sendDraw(submitAt des.Time) {
-	b, off, op := drawBrickOp(c.rng, c.spec.bricks, c.vol, c.spec.readFrac)
-	c.send(0, 1+b, c.sims[0].Now()+bigLinkLat, func() { c.submit(b, off, op, submitAt) })
-}
-
-func (c *chaosCluster) submit(b int, off int64, op core.Op, submitAt des.Time) {
-	sim := c.sims[1+b]
-	err := c.arr[b].Submit(op, off, c.spec.sectors, false, func(r coreResult) {
-		failed := r.Failed
-		c.send(1+b, 0, sim.Now()+bigLinkLat, func() { c.done(b, submitAt, failed) })
-	})
-	if err != nil {
-		// The brick is powered off: bounce the attempt back and let the
-		// client retry after a backoff (with a fresh draw, so a long
-		// outage does not pin the slot to the dark brick).
-		c.send(1+b, 0, sim.Now()+bigLinkLat, func() {
-			c.rejected++
-			c.sims[0].After(chaosRetry, func() { c.sendDraw(submitAt) })
-		})
-	}
-}
-
-// done retires one logical request on the client shard.
-func (c *chaosCluster) done(b int, submitAt des.Time, failed bool) {
-	lat := c.complete(submitAt, failed)
-	c.perBrick[b]++
-	if failed {
-		c.failed++
-		return
-	}
-	c.ok++
-	if lat <= chaosSLO {
-		c.sloOK++
-	}
-}
-
 // chaosRunRes summarizes one cluster run; digest equality across worker
 // counts is the determinism bar TestSameAtWorkersAndReruns holds.
 type chaosRunRes struct {
 	digest         string
 	p99            []int64 // per window, ns
 	window         des.Time
-	ok, failed     int
-	rejected       int
-	sloOK          int
+	brickTier      // the standard tier's tallies: every request is standard
 	crashes        int64
 	recoveries     int64
 	adopted        int64
@@ -160,13 +52,16 @@ type chaosRunRes struct {
 	events         uint64
 }
 
-func (c *chaosCluster) result(events uint64) *chaosRunRes {
-	r := &chaosRunRes{
-		window: c.spec.window, ok: c.ok, failed: c.failed, rejected: c.rejected,
-		sloOK: c.sloOK, events: events, p99: c.p99(),
+// runChaosCluster executes one cluster run on the sharded epoch engine.
+func runChaosCluster(spec brickSpec, workers int) (*chaosRunRes, error) {
+	w, events, err := runBrickWorld(spec, workers, "chaos cluster")
+	if err != nil {
+		return nil, err
 	}
+	t := w.tiers[slo.Standard]
+	r := &chaosRunRes{window: spec.window, brickTier: t, events: events, p99: w.p99()}
 	rec := ""
-	for b, a := range c.arr {
+	for b, a := range w.arr {
 		rc := a.Recovery()
 		r.crashes += rc.Crashes
 		r.recoveries += rc.Recoveries
@@ -179,33 +74,19 @@ func (c *chaosCluster) result(events uint64) *chaosRunRes {
 		rec += fmt.Sprintf(" b%d[cr=%d rec=%d ad=%d lost=%d scan=%d div=%d rep=%d unrep=%d drop=%d left=%d skip=%d]",
 			b, rc.Crashes, rc.Recoveries, rc.Adopted, rc.LostDelayed, rc.Scanned,
 			rc.DivergentFound, rc.Repaired, rc.Unrepairable, rc.RepairsDropped,
-			a.DivergentCopies(), c.skipped[b])
+			a.DivergentCopies(), w.skipped[b])
 	}
 	r.digest = fmt.Sprintf("%sissued=%d ok=%d failed=%d rejected=%d latNs=%d last=%.6f perBrick=%v sloOK=%d p99=%v events=%d%s",
-		c.spec.sc.Timeline(), c.issued, c.ok, c.failed, c.rejected, c.latNs,
-		float64(c.last), c.perBrick, c.sloOK, r.p99, events, rec)
-	return r
-}
-
-// runChaosCluster executes one cluster run on the sharded epoch engine.
-func runChaosCluster(spec chaosSpec, workers int) (*chaosRunRes, error) {
-	c, events, err := runSharded(spec.bricks, workers, func(sims []*des.Sim, send sendFn) (*chaosCluster, error) {
-		return buildChaosCluster(spec, sims, send)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := c.drained("chaos cluster"); err != nil {
-		return nil, err
-	}
-	return c.result(events), nil
+		spec.sc.Timeline(), w.issued, t.ok, t.failed, t.rejected, w.latNs,
+		float64(w.last), w.perBrick, t.sloOK, r.p99, events, rec)
+	return r, nil
 }
 
 // defaultChaosSpec sizes the cluster run: four 8-drive bricks under a
 // volatile-NVRAM crash model (the mode that exercises the recovery scan),
 // with the scenario horizon scaled to the workload length so the events
 // land while the loop is hot.
-func defaultChaosSpec(c Config) (chaosSpec, error) {
+func defaultChaosSpec(c Config) (brickSpec, error) {
 	bricks := 4
 	cfg := layout.Config{Ds: 2, Dr: 2, Dm: 2}
 	horizon := des.Time(c.IometerIOs) * 150 * des.Microsecond
@@ -215,14 +96,19 @@ func defaultChaosSpec(c Config) (chaosSpec, error) {
 		DriveFails: 1, SlowDrives: 1, BrickCrashes: 2, ScrubPasses: 1, LoadBursts: 1,
 	})
 	if err != nil {
-		return chaosSpec{}, err
+		return brickSpec{}, err
 	}
-	return chaosSpec{
-		bricks: bricks, cfg: cfg,
-		ios: c.IometerIOs * 2, outstanding: 32, sectors: 8, readFrac: 0.5,
-		seed: c.Seed, durability: core.Volatile, sc: sc,
-		window: horizon / 16,
-	}, nil
+	spec := brickSpec{
+		bricks: bricks,
+		brick: core.Options{
+			Config: cfg, Policy: policyFor(cfg),
+			Crash: core.CrashModel{Enabled: true, Durability: core.Volatile},
+		},
+		seed: c.Seed, ios: c.IometerIOs * 2, outstanding: 32, sectors: 8, readFrac: 0.5,
+		sc: sc, window: horizon / 16,
+	}
+	spec.tierSLO[slo.Standard] = chaosSLO
+	return spec, nil
 }
 
 // recoveryRes is one durability mode's crash/recovery micro measurement.

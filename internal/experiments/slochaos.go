@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strconv"
 	"strings"
 
@@ -230,203 +229,53 @@ func defaultSLOGatewaySpec(c Config) (sloGatewaySpec, error) {
 	}, nil
 }
 
-// sloClusterSpec sizes one cluster run.
-type sloClusterSpec struct {
-	bricks      int
-	cfg         layout.Config
-	ios         int
-	outstanding int
-	sectors     int
-	readFrac    float64
-	seed        int64
-	on          bool
-	sc          chaos.Scenario
-	window      des.Time // compliance/p99 window
-	ctl         slo.Options
-	tierSLO     [slo.NumTiers]des.Time
-}
-
-// sloClusterTier is one tier's client-side tallies.
-type sloClusterTier struct {
-	issued, ok, failed, sloOK, shed, rejected int64
-}
-
-// sloCluster is the client plus bricks of one run. Client state lives on
-// shard 0; each brick's array AND its controller are touched only by
-// that brick's shard — Admit runs in the submit event, Observe in the
-// completion callback, so the control loop rides the epoch protocol's
-// isolation for free.
-type sloCluster struct {
-	clientLoop
-	spec sloClusterSpec
-	sims []*des.Sim // sims[0] = client, sims[1+b] = brick b
-	arr  []*core.Array
-	ctl  []*slo.Controller // nil entries when the controller is off
-	send sendFn
-
-	rng      *rand.Rand
-	vol      int64
-	perBrick []int
-	tiers    [slo.NumTiers]sloClusterTier
-	skipped  []int
-}
-
-func buildSLOCluster(spec sloClusterSpec, sims []*des.Sim, send sendFn) (*sloCluster, error) {
-	c := &sloCluster{
-		clientLoop: clientLoop{sim: sims[0], ios: spec.ios, outstanding: spec.outstanding, window: spec.window},
-		spec:       spec, sims: sims, send: send,
-		rng:      rand.New(rand.NewSource(spec.seed)),
-		arr:      make([]*core.Array, spec.bricks),
-		ctl:      make([]*slo.Controller, spec.bricks),
-		perBrick: make([]int, spec.bricks),
-		skipped:  make([]int, spec.bricks),
-	}
-	// A request's tier is a pure function of the issue order, fixed before
-	// its first draw, so the tier mix is identical with the controller on
-	// and off.
-	c.attempt = func(seq int, submitAt des.Time) {
-		tier := sloTierOf(seq)
-		c.tiers[tier].issued++
-		c.sendDraw(tier, submitAt)
-	}
-	for b := range c.arr {
-		a, err := core.New(sims[1+b], core.Options{
-			Config: spec.cfg, Policy: policyFor(spec.cfg), Seed: spec.seed + int64(b),
-			MaxQueueDepth: 16,
-			Crash:         core.CrashModel{Enabled: true, Durability: core.Volatile},
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.arr[b] = a
-		if spec.on {
-			ctl, err := slo.New(a, spec.ctl)
-			if err != nil {
-				return nil, err
-			}
-			c.ctl[b] = ctl
-		}
-		b := b
-		chaos.Arm(sims[1+b], spec.sc, b, func(e chaos.Event) {
-			if !chaos.Apply(a, e) {
-				c.skipped[b]++
-			}
-		})
-	}
-	chaos.Arm(sims[0], spec.sc, chaos.ClientBrick, c.burst)
-	c.vol = c.arr[0].DataSectors() - int64(spec.sectors)
-	sims[0].At(0, c.prime)
-	return c, nil
-}
-
-// sendDraw draws a fresh (brick, offset, op) and sends it over the link;
-// submitAt survives retries and shed bounces so measured latency
-// includes every stall the request actually suffered.
-func (c *sloCluster) sendDraw(tier slo.Tier, submitAt des.Time) {
-	b, off, op := drawBrickOp(c.rng, c.spec.bricks, c.vol, c.spec.readFrac)
-	c.send(0, 1+b, c.sims[0].Now()+bigLinkLat, func() { c.submit(b, tier, off, op, submitAt) })
-}
-
-func (c *sloCluster) submit(b int, tier slo.Tier, off int64, op core.Op, submitAt des.Time) {
-	a := c.arr[b]
-	sim := c.sims[1+b]
-	name := tier.String()
-	// The brick's controller sheds before the array sees the request; a
-	// shed bounces back to the client, which retries (fresh draw, maybe
-	// another brick) after the quoted hint.
-	if ra, ok := c.ctl[b].Admit(sim.Now(), name); !ok {
-		c.send(1+b, 0, sim.Now()+bigLinkLat, func() {
-			c.tiers[tier].shed++
-			c.sims[0].After(ra, func() { c.sendDraw(tier, submitAt) })
-		})
-		return
-	}
-	err := a.Submit(op, off, c.spec.sectors, false, func(r coreResult) {
-		c.ctl[b].Observe(sim.Now(), name, sim.Now()-submitAt, r.Failed)
-		failed := r.Failed
-		c.send(1+b, 0, sim.Now()+bigLinkLat, func() { c.done(b, tier, submitAt, failed) })
-	})
-	if err != nil {
-		// Powered off: a synchronous rejection is SLO evidence (the same
-		// 5xx rule the gateway applies), then the client retries.
-		c.ctl[b].Observe(sim.Now(), name, 0, true)
-		c.send(1+b, 0, sim.Now()+bigLinkLat, func() {
-			c.tiers[tier].rejected++
-			c.sims[0].After(chaosRetry, func() { c.sendDraw(tier, submitAt) })
-		})
-	}
-}
-
-// done retires one logical request on the client shard.
-func (c *sloCluster) done(b int, tier slo.Tier, submitAt des.Time, failed bool) {
-	lat := c.complete(submitAt, failed)
-	c.perBrick[b]++
-	tt := &c.tiers[tier]
-	if failed {
-		tt.failed++
-		return
-	}
-	tt.ok++
-	if lat <= c.spec.tierSLO[tier] {
-		tt.sloOK++
-	}
-}
-
 // sloClusterRes summarizes one cluster run; digest equality across
 // worker counts is the determinism bar TestSameAtWorkersAndReruns holds.
 type sloClusterRes struct {
 	digest string
 	p99    []int64
 	window des.Time
-	tiers  [slo.NumTiers]sloClusterTier
+	tiers  [slo.NumTiers]brickTier
 	states []slo.State
 	events uint64
 }
 
-func (c *sloCluster) result(events uint64) *sloClusterRes {
-	r := &sloClusterRes{window: c.spec.window, tiers: c.tiers, events: events, p99: c.p99()}
+// runSLOCluster executes one cluster run on the sharded epoch engine.
+func runSLOCluster(spec brickSpec, workers int) (*sloClusterRes, error) {
+	w, events, err := runBrickWorld(spec, workers, "slo cluster")
+	if err != nil {
+		return nil, err
+	}
+	r := &sloClusterRes{window: spec.window, tiers: w.tiers, events: events, p99: w.p99()}
 	var b strings.Builder
-	b.WriteString(c.spec.sc.Timeline())
+	b.WriteString(spec.sc.Timeline())
 	fmt.Fprintf(&b, "issued=%d finished=%d latNs=%d last=%.6f perBrick=%v p99=%v events=%d\n",
-		c.issued, c.finished, c.latNs, float64(c.last), c.perBrick, r.p99, events)
+		w.issued, w.finished, w.latNs, float64(w.last), w.perBrick, r.p99, events)
 	for t := slo.Premium; t < slo.NumTiers; t++ {
-		tt := c.tiers[t]
+		tt := w.tiers[t]
 		fmt.Fprintf(&b, "%s issued=%d ok=%d failed=%d sloOK=%d shed=%d rejected=%d\n",
 			t, tt.issued, tt.ok, tt.failed, tt.sloOK, tt.shed, tt.rejected)
 	}
-	for i, a := range c.arr {
+	for i, a := range w.arr {
 		rc := a.Recovery()
 		fmt.Fprintf(&b, "b%d cr=%d rec=%d ad=%d lost=%d div=%d rep=%d skip=%d",
 			i, rc.Crashes, rc.Recoveries, rc.Adopted, rc.LostDelayed,
-			rc.DivergentFound, rc.Repaired, c.skipped[i])
-		st := c.ctl[i].State()
+			rc.DivergentFound, rc.Repaired, w.skipped[i])
+		st := w.ctl[i].State()
 		r.states = append(r.states, st)
-		if c.spec.on {
+		if spec.ctl != nil {
 			fmt.Fprintf(&b, " ctl[%s]", st)
 		}
 		b.WriteByte('\n')
 	}
 	r.digest = b.String()
-	return r
-}
-
-// runSLOCluster executes one cluster run on the sharded epoch engine.
-func runSLOCluster(spec sloClusterSpec, workers int) (*sloClusterRes, error) {
-	c, events, err := runSharded(spec.bricks, workers, func(sims []*des.Sim, send sendFn) (*sloCluster, error) {
-		return buildSLOCluster(spec, sims, send)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := c.drained("slo cluster"); err != nil {
-		return nil, err
-	}
-	return c.result(events), nil
+	return r, nil
 }
 
 // defaultSLOClusterSpec sizes the cluster run: three 8-drive bricks, a
-// controller per brick, and the scenario horizon scaled to the workload.
-func defaultSLOClusterSpec(c Config, on bool) (sloClusterSpec, error) {
+// controller per brick when on, and the scenario horizon scaled to the
+// workload.
+func defaultSLOClusterSpec(c Config, on bool) (brickSpec, error) {
 	bricks := 3
 	cfg := layout.Config{Ds: 2, Dr: 2, Dm: 2}
 	ios := c.IometerIOs * 2
@@ -438,7 +287,7 @@ func defaultSLOClusterSpec(c Config, on bool) (sloClusterSpec, error) {
 		SlowFactor: 8, ScrubMBps: 128,
 	})
 	if err != nil {
-		return sloClusterSpec{}, err
+		return brickSpec{}, err
 	}
 	var targets, tierSLO [slo.NumTiers]des.Time
 	targets[slo.Premium] = 15 * des.Millisecond
@@ -453,21 +302,28 @@ func defaultSLOClusterSpec(c Config, on bool) (sloClusterSpec, error) {
 		}
 		return t
 	}
-	return sloClusterSpec{
-		bricks: bricks, cfg: cfg,
-		ios: ios, outstanding: 32, sectors: 8, readFrac: 0.7,
-		seed: c.Seed, on: on, sc: sc,
-		window: horizon / 16,
-		ctl: slo.Options{
+	spec := brickSpec{
+		bricks: bricks,
+		brick: core.Options{
+			Config: cfg, Policy: policyFor(cfg),
+			MaxQueueDepth: 16,
+			Crash:         core.CrashModel{Enabled: true, Durability: core.Volatile},
+		},
+		seed: c.Seed, ios: ios, outstanding: 32, sectors: 8, readFrac: 0.7,
+		sc: sc, window: horizon / 16,
+		tierOf: sloTierOf, tierSLO: tierSLO,
+	}
+	if on {
+		spec.ctl = &slo.Options{
 			Window:         horizon / 16,
 			Targets:        targets,
 			ViolateWindows: 1, RecoverWindows: 2, MinSamples: 3,
 			ShedRetryAfter: 2 * des.Millisecond,
 			Classify:       classify,
 			Actuators:      slo.Actuators{HedgeAfter: 3 * des.Millisecond},
-		},
-		tierSLO: tierSLO,
-	}, nil
+		}
+	}
+	return spec, nil
 }
 
 // SLOChaos is the registry experiment.

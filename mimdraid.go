@@ -395,7 +395,8 @@ const (
 )
 
 // NewCluster builds a colocated replicated volume: the router and every
-// brick share sim.
+// brick share sim, and the router reaches a brick over an inline,
+// zero-latency link — the same router path a sharded cluster runs.
 func NewCluster(sim *Sim, bricks []Volume, opts ClusterOptions) (*ClusterVolume, error) {
 	return cluster.New(sim, bricks, opts)
 }

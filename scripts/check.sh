@@ -17,15 +17,16 @@ go test -shuffle=on -timeout 30m ./...
 go test -race -count=2 -run 'TestScrub|TestCorruption|TestSilent|TestLatent|TestTorn|TestHedgeFault' ./internal/core
 # Crash/chaos composition: the crash state machine plus the chaos
 # experiment (both NVRAM durability modes); run twice under the race
-# detector to catch order-dependent residue. The golden test holds the
-# four multi-brick experiments' output to the committed bytes, at one
-# epoch worker. TestSameAtWorkersAndReruns runs the chaos, SLO-cluster and
-# brick-loss worlds at 1/2/4 workers and compares their digests, so under
-# the race detector it also checks that no two workers share one shard's
-# state (about five and a half minutes a pass under -race on 2 CPUs,
-# hence the timeout).
+# detector to catch order-dependent residue. The golden test holds seven
+# fault-tolerance and multi-brick experiments' output to the committed
+# bytes, at one epoch worker. TestSameAtWorkersAndReruns runs the chaos,
+# SLO-cluster and brick-loss worlds, and TestShardedMatchesSequential the
+# big-array world (batched prime included), at 1/2/4 workers and compares
+# their digests, so under the race detector they also check that no two
+# workers share one shard's state (about five and a half minutes a pass
+# under -race on 2 CPUs, hence the timeout).
 go test -race -count=2 -run 'TestCrash|TestScheduledCrash|TestBatchThenCrash|TestRepeatedCrash' ./internal/core
-go test -race -count=2 -timeout 30m -run 'TestChaos|TestClusterExperimentsGolden|TestSameAtWorkersAndReruns' ./internal/chaos ./internal/experiments
+go test -race -count=2 -timeout 30m -run 'TestChaos|TestClusterExperimentsGolden|TestSameAtWorkersAndReruns|TestShardedMatchesSequential' ./internal/chaos ./internal/experiments
 # Cluster volume: the replicated-router suite (failover, breaker,
 # divergence/backfill reconciliation, DeclareDead, zero-alloc guard)
 # twice under the race detector, the cluster-backed gateway tests, and
